@@ -97,9 +97,10 @@ type Options struct {
 	// call pays its own adaptation). Reports are bit-identical either way.
 	AdaptCacheSize int
 	// AdaptCacheShards sets the adaptation cache's lock-shard count (rounded
-	// up to a power of two; zero means adaptcache.DefaultShards, 1 restores
-	// a single mutex). More shards reduce lock contention when many workers
-	// hit the same hot signature; contents and results are unaffected.
+	// up to a power of two; zero means adaptcache.DefaultShards, a single
+	// LRU). More shards reduce lock contention but split the capacity into
+	// per-shard LRU budgets, so signatures that hash to one shard can evict
+	// each other early; results are unaffected either way.
 	AdaptCacheShards int
 	// NoiseBucketWidth quantizes the estimated adaptation noise range before
 	// it enters the cache signature (zero means

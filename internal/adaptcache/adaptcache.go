@@ -180,10 +180,13 @@ type entry struct {
 }
 
 // DefaultShards is the shard count used when NewSharded is asked for the
-// default (and by New). Eight shards keep the per-shard mutex essentially
-// uncontended for the worker counts the campaign pipeline runs at, while a
-// power of two keeps shard selection one mask operation.
-const DefaultShards = 8
+// default (and by New): one LRU over the whole capacity. Sharding splits the
+// capacity budget too, so with 8 shards a 32-entry cache held only 4 entries
+// per shard and five hot signatures hashing to one shard evicted each other
+// while the rest of the cache sat empty; a lookup (~300 ns) is far below the
+// cost of the adaptation such an eviction repeats, and no benchmark has
+// shown the single mutex contended.
+const DefaultShards = 1
 
 // Cache is a bounded LRU of adapted modelers, safe for concurrent use. It is
 // sharded by signature hash: each shard has its own mutex, LRU list and
@@ -206,11 +209,10 @@ type shard struct {
 	stats    Stats
 }
 
-// New returns a cache bounded to capacity entries, sharded DefaultShards
-// ways (clamped so every shard holds at least one entry). It returns nil for
-// capacity <= 0 — a nil *Cache is the documented "caching disabled" state
-// (GetOrCreate on a nil cache runs create directly, Stats returns zeros), so
-// callers need no branching.
+// New returns a cache bounded to capacity entries in DefaultShards shards
+// (a single LRU). It returns nil for capacity <= 0 — a nil *Cache is the
+// documented "caching disabled" state (GetOrCreate on a nil cache runs
+// create directly, Stats returns zeros), so callers need no branching.
 func New(capacity int) *Cache {
 	return NewSharded(capacity, 0)
 }

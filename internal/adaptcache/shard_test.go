@@ -234,3 +234,32 @@ func BenchmarkCacheContention(b *testing.B) {
 		})
 	}
 }
+
+// TestDefaultCacheHoldsCapacityWithoutEvictions pins the default layout: a
+// cache of capacity n holds n distinct signatures with zero evictions, so a
+// warm path whose working set fits the capacity never adapts twice. With the
+// capacity split into per-shard budgets, five signatures hashing to one
+// shard of a 32-entry, 8-shard cache already evicted each other.
+func TestDefaultCacheHoldsCapacityWithoutEvictions(t *testing.T) {
+	const capacity = 32
+	c := New(capacity)
+	base := Signature{ParamNames: []string{"p"}, Reps: 5, Fingerprint: 7}
+	for i := 0; i < capacity; i++ {
+		sig := base
+		sig.Seed = int64(i)
+		c.GetOrCreate(sig.Key(), modeler)
+	}
+	st := c.Stats()
+	if st.Evictions != 0 || st.Entries != capacity || st.Misses != capacity {
+		t.Fatalf("%d distinct signatures into New(%d): %+v, want %d entries, %d misses, 0 evictions",
+			capacity, capacity, st, capacity, capacity)
+	}
+	for i := 0; i < capacity; i++ {
+		sig := base
+		sig.Seed = int64(i)
+		c.GetOrCreate(sig.Key(), modeler)
+	}
+	if st := c.Stats(); st.Hits != capacity || st.Misses != capacity {
+		t.Fatalf("second pass over the same signatures: %+v, want every lookup a hit", st)
+	}
+}

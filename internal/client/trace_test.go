@@ -28,8 +28,11 @@ import (
 // BaseContext — the in-process stand-in for two processes each having their
 // own global tracer. When proxied is true the client dials through a chaos
 // proxy (returned for fault scripting) with keep-alives off, mirroring
-// chaosDaemon.
-func tracedDaemon(t *testing.T, proxied bool) (*Client, *chaosproxy.Proxy, *obs.Tracer, *obs.Tracer, *bytes.Buffer, *bytes.Buffer) {
+// chaosDaemon. The returned stop function closes the daemon and blocks until
+// every outstanding handler has returned; call it before reading serverBuf,
+// or a handler still finishing a resumed request can write spans after the
+// flush (and race with the read).
+func tracedDaemon(t *testing.T, proxied bool) (*Client, *chaosproxy.Proxy, *obs.Tracer, *obs.Tracer, *bytes.Buffer, *bytes.Buffer, func()) {
 	t.Helper()
 	clientBuf, serverBuf := &bytes.Buffer{}, &bytes.Buffer{}
 	clientTr, serverTr := obs.NewTracer(clientBuf), obs.NewTracer(serverBuf)
@@ -68,7 +71,7 @@ func tracedDaemon(t *testing.T, proxied bool) (*Client, *chaosproxy.Proxy, *obs.
 	cl := New(base)
 	cl.HTTPClient = &http.Client{Transport: tr}
 	cl.Retry = fastRetry()
-	return cl, px, clientTr, serverTr, clientBuf, serverBuf
+	return cl, px, clientTr, serverTr, clientBuf, serverBuf, ts.Close
 }
 
 // mergedTraces closes both test servers' tracers and merges the two JSONL
@@ -110,16 +113,16 @@ func spansNamed(tr tracemerge.Trace, name string) []tracemerge.Span {
 // traced /v1/model call yields client and server spans under one trace ID,
 // with the server.request span parented to the client's attempt span.
 func TestTracePropagationModelJoins(t *testing.T) {
-	cl, _, clientTr, serverTr, clientBuf, serverBuf := tracedDaemon(t, false)
+	cl, _, clientTr, serverTr, clientBuf, serverBuf, stop := tracedDaemon(t, false)
 
 	ctx := obs.ContextWithTracer(context.Background(), clientTr)
 	if _, err := cl.Model(ctx, testSet(1, func(x float64) float64 { return 5 + 2*x })); err != nil {
 		t.Fatal(err)
 	}
 
-	// The model call must wait for the server span to be written; the response
-	// is fully read before Model returns, and the handler's defer runs before
-	// the response body completes, so the server file is complete here.
+	// The response is fully read before Model returns, but the handler's
+	// deferred span writes may still be in flight: stop waits for them.
+	stop()
 	traces := mergedTraces(t, clientTr, serverTr, clientBuf, serverBuf)
 	if len(traces) != 1 {
 		t.Fatalf("got %d traces, want 1 (client and server joined)", len(traces))
@@ -154,7 +157,7 @@ func TestTracePropagationModelJoins(t *testing.T) {
 // the attempt it resumed from, and every server.request a child of the
 // attempt that carried it.
 func TestChaosResetResumeSingleTrace(t *testing.T) {
-	cl, px, clientTr, serverTr, clientBuf, serverBuf := tracedDaemon(t, true)
+	cl, px, clientTr, serverTr, clientBuf, serverBuf, stop := tracedDaemon(t, true)
 	px.Enqueue(chaosproxy.Fault{Kind: chaosproxy.KindReset, AfterPattern: `"kern3"`})
 
 	ctx := obs.ContextWithTracer(context.Background(), clientTr)
@@ -171,6 +174,9 @@ func TestChaosResetResumeSingleTrace(t *testing.T) {
 		t.Fatalf("%d connections, want 2 (original + resume)", px.Connections())
 	}
 
+	// The client has every result line, but the resumed /v1/profile handler
+	// may still be ending its spans; wait for it before flushing.
+	stop()
 	traces := mergedTraces(t, clientTr, serverTr, clientBuf, serverBuf)
 	if len(traces) != 1 {
 		t.Fatalf("got %d traces, want exactly 1 — the whole faulted campaign is one trace", len(traces))

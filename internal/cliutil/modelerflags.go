@@ -50,7 +50,7 @@ func RegisterModelerFlags() *ModelerFlags {
 	flag.Float64Var(&f.Threshold, "threshold", core.DefaultNoiseThreshold, "noise level above which the regression modeler is switched off")
 	flag.BoolVar(&f.NoFallback, "no-fallback", false, "fail instead of degrading to the pretrained network or regression on DNN failure")
 	flag.IntVar(&f.AdaptCache, "adapt-cache", 32, "LRU entries of the domain-adaptation cache (0 disables; results are identical either way)")
-	flag.IntVar(&f.CacheShards, "cache-shards", 0, "adaptation-cache lock shards (0 = default 8, 1 = single mutex; results are identical for any value)")
+	flag.IntVar(&f.CacheShards, "cache-shards", 0, "adaptation-cache lock shards (0 = default 1, a single LRU; more shards split the capacity into per-shard LRUs; results are identical for any value)")
 	flag.Float64Var(&f.NoiseBucket, "noise-bucket", 0, "noise-bucket width for the adaptation cache signature (0 = default 2.5% steps, negative disables quantization)")
 	flag.Int64Var(&f.Seed, "seed", 1, "random seed")
 	flag.IntVar(&f.Workers, "workers", 0, "concurrent modeling workers per profile (0 = GOMAXPROCS); results are identical for any value")

@@ -81,9 +81,9 @@ type Config struct {
 	// either way because the adaptation is a pure function of the signature.
 	AdaptCacheSize int
 	// AdaptCacheShards sets the adaptation cache's shard count (rounded up
-	// to a power of two). Zero means adaptcache.DefaultShards; 1 restores
-	// the single-mutex layout. Sharding only changes lock granularity —
-	// contents, eviction budget and results are unaffected.
+	// to a power of two). Zero means adaptcache.DefaultShards, a single
+	// LRU. Sharding changes lock granularity and splits the eviction budget
+	// into per-shard LRUs; results are unaffected.
 	AdaptCacheShards int
 	// NoiseBucketWidth quantizes the estimated adaptation noise range before
 	// it enters the task signature and the synthetic data generator. Zero

@@ -50,25 +50,48 @@ func BenchmarkBuildDatasetRandomLines(b *testing.B) {
 // BenchmarkDomainAdapt is the end-to-end adaptation path (dataset generation
 // plus retraining) that ModelProfile runs once per kernel; the adaptation
 // dataset pool keeps its steady-state heap traffic flat across entries.
+//
+//   - small: a 96-64 network at 60 samples per class, the allocation row.
+//   - paper/{float64,float32}: the paper topology at the benchmark's cold
+//     campaign settings (9 samples per class, 1 epoch, batch 64), one
+//     adaptation per op in each training precision; run with -benchtime 1x.
 func BenchmarkDomainAdapt(b *testing.B) {
-	m, _ := Pretrain(PretrainConfig{
-		Hidden:          []int{96, 64},
-		SamplesPerClass: 60,
-		Epochs:          1,
-		Seed:            1,
-	})
 	task := TaskInfo{
 		ParamValues: [][]float64{{8, 64, 512, 4096, 32768}},
 		Reps:        5,
 		NoiseMin:    0.1,
 		NoiseMax:    0.5,
 	}
-	cfg := AdaptConfig{SamplesPerClass: 60, Epochs: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.DomainAdapt(rand.New(rand.NewSource(int64(i))), task, cfg)
+	adapt := func(b *testing.B, m *Modeler, cfg AdaptConfig) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.DomainAdapt(rand.New(rand.NewSource(int64(i))), task, cfg)
+		}
 	}
+	b.Run("small", func(b *testing.B) {
+		m, _ := Pretrain(PretrainConfig{
+			Hidden:          []int{96, 64},
+			SamplesPerClass: 60,
+			Epochs:          1,
+			Seed:            1,
+		})
+		adapt(b, m, AdaptConfig{SamplesPerClass: 60, Epochs: 1})
+	})
+	b.Run("paper", func(b *testing.B) {
+		m, _ := Pretrain(PretrainConfig{
+			Hidden:          PaperTopology,
+			SamplesPerClass: 8,
+			Epochs:          1,
+			Seed:            1,
+			Precision:       nn.Float32,
+		})
+		for _, prec := range []nn.Precision{nn.Float64, nn.Float32} {
+			b.Run(prec.String(), func(b *testing.B) {
+				adapt(b, m, AdaptConfig{SamplesPerClass: 9, Epochs: 1, Precision: prec})
+			})
+		}
+	})
 }
 
 // benchModeler builds a realistically-sized modeler for the end-to-end

@@ -96,3 +96,65 @@ func BenchmarkMulBTTo(b *testing.B) {
 		})
 	}
 }
+
+// paperShapes are the products of one training step of the paper topology
+// (batch 64, layers 1500-1500-750-250-250, 43 classes), named m×k×n for an
+// m×n output contracting k: the hidden forward product and delta product,
+// the hidden weight gradient, and a narrower layer and the output layer.
+var paperShapes = []struct {
+	name    string
+	m, k, n int
+}{
+	{"64x1500x1500", 64, 1500, 1500},
+	{"1500x64x1500", 1500, 64, 1500},
+	{"64x1500x750", 64, 1500, 750},
+	{"64x250x43", 64, 250, 43},
+}
+
+// BenchmarkGEMMPaper runs all three training products at every paper shape
+// in both precisions and reports GFLOP/s (2·m·k·n per op), the unit of the
+// mat.*_gflops benchmark rows.
+func BenchmarkGEMMPaper(b *testing.B) {
+	mk := func(m, k, n int) (int, int) { return m, k }
+	km := func(m, k, n int) (int, int) { return k, m }
+	kn := func(m, k, n int) (int, int) { return k, n }
+	nk := func(m, k, n int) (int, int) { return n, k }
+	// a and b give each product's operand shapes for an m×k×n product.
+	products := []struct {
+		name string
+		a, b func(m, k, n int) (int, int)
+		f64  func(out, a, b *Matrix)
+		f32  func(out, a, b *Matrix32)
+	}{
+		{"MulTo", mk, kn, MulTo, MulTo32},
+		{"MulATTo", km, kn, MulATTo, MulATTo32},
+		{"MulBTTo", mk, nk, MulBTTo, MulBTTo32},
+	}
+	for _, p := range products {
+		for _, s := range paperShapes {
+			rng := rand.New(rand.NewSource(4))
+			ar, ac := p.a(s.m, s.k, s.n)
+			br, bc := p.b(s.m, s.k, s.n)
+			a, bb := benchMat(rng, ar, ac), benchMat(rng, br, bc)
+			a32, b32 := a.To32(), bb.To32()
+			out, out32 := New(s.m, s.n), New32(s.m, s.n)
+			flop := 2 * float64(s.m) * float64(s.k) * float64(s.n)
+			report := func(b *testing.B) {
+				b.ReportMetric(flop*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			}
+			b.Run(p.name+"/"+s.name+"/float64", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					p.f64(out, a, bb)
+				}
+				report(b)
+			})
+			b.Run(p.name+"/"+s.name+"/float32", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					p.f32(out32, a32, b32)
+				}
+				report(b)
+			})
+		}
+	}
+}

@@ -1,16 +1,77 @@
 package mat
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Float32 twins of the matmul family. They share the shape contracts and the
 // serialMul/parallelRows parallelism policy with the float64 kernels, but not
 // the accumulation order: the float64 kernels are pinned bit-identical, while
 // the float32 twins only promise tolerance parity, which frees them to
-// reassociate. On amd64 hosts with AVX2+FMA the forward and
-// transpose-gradient kernels dispatch to the fmaRow assembly primitive
-// (eight-lane broadcast-FMA stripes, scalar tail columns); elsewhere they
-// fall back to the unrolled scalar forms below, tuned per kernel for what
-// gc's register allocator will actually keep in registers.
+// reassociate. On amd64 hosts with AVX2+FMA all three products run on the
+// one gemm32 assembly micro-kernel (4×16 register tiles, one FMA chain per
+// output element, so results do not depend on how rows or columns are split
+// between goroutines); elsewhere they fall back to the unrolled scalar forms
+// below, tuned per kernel for what gc's register allocator will actually
+// keep in registers.
+
+// stripe32 is the column width of one gemm32 stripe: two eight-lane ymm
+// accumulators per output row.
+const stripe32 = 16
+
+// narrowRows is how many rows gemmRows32 runs per call when it has to route
+// a block narrower than one stripe through a 16-wide scratch tile.
+const narrowRows = 16
+
+// scratch32 recycles the packing panels and scratch tiles of the SIMD path,
+// so steady-state training and inference stay allocation-free.
+var scratch32 = sync.Pool{New: func() any { return new([]float32) }}
+
+func getScratch32(n int) *[]float32 {
+	p := scratch32.Get().(*[]float32)
+	if cap(*p) < n {
+		*p = make([]float32, n)
+	}
+	*p = (*p)[:n]
+	return p
+}
+
+// gemmRows32 computes the m×n block c = A·B on the gemm32 micro-kernel, with
+// A[i][k] = a[i*ars+k*aks], B[k][j] = b[k*ldb+j] and c's row stride ldc; the
+// slices start at element (0,0) of their block. A block narrower than one
+// stripe is multiplied against a zero-padded copy of B into a 16-wide scratch
+// tile, so it too is one FMA chain per element.
+func gemmRows32(c []float32, ldc int, a []float32, ars, aks int, b []float32, ldb, m, n, kk int) {
+	if m == 0 || n == 0 {
+		return
+	}
+	if kk == 0 {
+		for i := 0; i < m; i++ {
+			clear(c[i*ldc : i*ldc+n])
+		}
+		return
+	}
+	if n >= stripe32 {
+		gemm32(&c[0], ldc, &a[0], ars, aks, &b[0], ldb, m, n, kk)
+		return
+	}
+	s := getScratch32((kk + narrowRows) * stripe32)
+	defer scratch32.Put(s)
+	panel, tile := (*s)[:kk*stripe32], (*s)[kk*stripe32:]
+	for k := 0; k < kk; k++ {
+		row := panel[k*stripe32 : (k+1)*stripe32]
+		copy(row, b[k*ldb:k*ldb+n])
+		clear(row[n:])
+	}
+	for i0 := 0; i0 < m; i0 += narrowRows {
+		rows := min(narrowRows, m-i0)
+		gemm32(&tile[0], stripe32, &a[i0*ars], ars, aks, &panel[0], stripe32, rows, stripe32, kk)
+		for i := 0; i < rows; i++ {
+			copy(c[(i0+i)*ldc:(i0+i)*ldc+n], tile[i*stripe32:])
+		}
+	}
+}
 
 // Mul32 returns a*b. It panics if the inner dimensions disagree.
 func Mul32(a, b *Matrix32) *Matrix32 {
@@ -42,26 +103,19 @@ func MulTo32(out, a, b *Matrix32) {
 	})
 }
 
-// mulRange32 computes rows [lo,hi) of out = a*b with the ikj loop order of
-// mulRange, but an eight-wide k unroll: unlike the float64 kernel, whose
-// four-wide accumulation order is pinned bit-identical, the float32 twin only
-// promises tolerance parity, so it trades accumulation-order compatibility
-// for halving the out-row load/store traffic per multiply-add. (Register
-// tiling was tried and measured slower here — gc spills the accumulators —
-// so the saxpy form stays.)
+// mulRange32 computes rows [lo,hi) of out = a*b. The scalar fallback keeps
+// the ikj loop order of mulRange, but an eight-wide k unroll: unlike the
+// float64 kernel, whose four-wide accumulation order is pinned
+// bit-identical, the float32 twin only promises tolerance parity, so it
+// trades accumulation-order compatibility for halving the out-row
+// load/store traffic per multiply-add. (Register tiling in Go was tried and
+// measured slower — gc spills the accumulators — which is why the SIMD path
+// tiles in assembly.)
 func mulRange32(out, a, b *Matrix32, lo, hi int) {
 	n := b.cols
 	kk := a.cols
-	if useFMA && n >= 8 && kk > 0 {
-		n8 := n &^ 7
-		for i := lo; i < hi; i++ {
-			oi := out.data[i*n : i*n+n]
-			ai := a.data[i*kk : i*kk+kk]
-			fmaRow(&oi[0], n, &ai[0], 1, kk, &b.data[0], n)
-			if n8 < n {
-				dotCols32(oi, n8, ai, 1, kk, b.data, n)
-			}
-		}
+	if useFMA {
+		gemmRows32(out.data[lo*n:], n, a.data[lo*kk:], kk, 1, b.data, n, hi-lo, n, kk)
 		return
 	}
 	for i := lo; i < hi; i++ {
@@ -98,20 +152,6 @@ func mulRange32(out, a, b *Matrix32, lo, hi int) {
 	}
 }
 
-// dotCols32 computes oi[j] for j in [j0, len(oi)) as the dot product of the
-// strided coefficient vector a and column j of b — the scalar tail columns
-// the eight-wide fmaRow stripes leave behind, and the reference semantics of
-// that primitive (the parity tests compare the two directly).
-func dotCols32(oi []float32, j0 int, a []float32, astride, kk int, b []float32, bstride int) {
-	for j := j0; j < len(oi); j++ {
-		var s float32
-		for k := 0; k < kk; k++ {
-			s += a[k*astride] * b[k*bstride+j]
-		}
-		oi[j] = s
-	}
-}
-
 // MulATTo32 computes out = aᵀ·b without materializing the transpose — the
 // float32 backpropagation weight-gradient kernel. out must be a.cols×b.cols
 // and must not alias a or b.
@@ -131,22 +171,17 @@ func MulATTo32(out, a, b *Matrix32) {
 	})
 }
 
-// mulATRange32 mirrors mulATRange: fusedBlock output-row tiles, four-wide
-// unroll over the sample dimension (wider unrolls were measured slower —
-// too many live slices for the register allocator).
+// mulATRange32 computes output rows [lo,hi) of out = aᵀ·b; the micro-kernel
+// reads aᵀ through a's strides. The scalar fallback mirrors mulATRange:
+// fusedBlock output-row tiles, four-wide unroll over the sample dimension
+// (wider unrolls were measured slower — too many live slices for the
+// register allocator).
 func mulATRange32(out, a, b *Matrix32, lo, hi int) {
 	n := b.cols
 	ka := a.cols
 	rows := a.rows
-	if useFMA && n >= 8 && rows > 0 {
-		n8 := n &^ 7
-		for k := lo; k < hi; k++ {
-			ok := out.data[k*n : k*n+n]
-			fmaRow(&ok[0], n, &a.data[k], ka, rows, &b.data[0], n)
-			if n8 < n {
-				dotCols32(ok, n8, a.data[k:], ka, rows, b.data, n)
-			}
-		}
+	if useFMA {
+		gemmRows32(out.data[lo*n:], n, a.data[lo:], 1, ka, b.data, n, hi-lo, n, rows)
 		return
 	}
 	for k := lo; k < hi; k++ {
@@ -194,13 +229,34 @@ func mulATRange32(out, a, b *Matrix32, lo, hi int) {
 
 // MulBTTo32 computes out = a·bᵀ without materializing the transpose — the
 // float32 backpropagation delta kernel. out must be a.rows×b.rows and must
-// not alias a or b.
+// not alias a or b. On the SIMD path large products are split across
+// GOMAXPROCS goroutines by 16-column panels of out, so each worker packs
+// only its own rows of b.
 func MulBTTo32(out, a, b *Matrix32) {
 	if a.cols != b.cols {
 		panic(fmt.Sprintf("mat: MulBTTo32 dimension mismatch %dx%d by %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	if out.rows != a.rows || out.cols != b.rows {
 		panic(fmt.Sprintf("mat: MulBTTo32 output %dx%d, want %dx%d", out.rows, out.cols, a.rows, b.rows))
+	}
+	if useFMA {
+		p := b.rows
+		panels := p / stripe32
+		if serialMul(panels, a.rows*a.cols*p) {
+			mulBTPanels32(out, a, b, 0, a.rows, 0, p)
+			return
+		}
+		// Chunks are whole panels; the last one also takes the p%16 tail, so
+		// its overlapping final stripe never reaches into another worker's
+		// columns.
+		parallelRows(panels, func(lo, hi int) {
+			c1 := hi * stripe32
+			if hi == panels {
+				c1 = p
+			}
+			mulBTPanels32(out, a, b, 0, a.rows, lo*stripe32, c1)
+		})
+		return
 	}
 	if serialMul(a.rows, a.rows*a.cols*b.rows) {
 		mulBTRange32(out, a, b, 0, a.rows)
@@ -211,9 +267,40 @@ func MulBTTo32(out, a, b *Matrix32) {
 	})
 }
 
-// mulBTRange32 keeps mulBTRange's fusedBlock tiling over the rows of b, but
-// runs each dot product on four independent accumulators with an eight-wide
-// unroll: a single running sum serializes on the ~4-cycle FP add latency,
+// mulBTPanels32 computes the block rows [lo,hi) × columns [c0,c1) of
+// out = a·bᵀ on the SIMD path: it packs 16 rows of b at a time into a k-major
+// 16-wide panel (that panel is the B operand of gemm32) and multiplies the
+// rows of a against it. c1-c0 must be at least 16 unless it is the whole of
+// out's width; the last panel is shifted left to end at c1, overlapping its
+// neighbour with bit-identical values.
+func mulBTPanels32(out, a, b *Matrix32, lo, hi, c0, c1 int) {
+	p, kk := b.rows, a.cols
+	if lo == hi {
+		return
+	}
+	s := getScratch32(kk * stripe32)
+	defer scratch32.Put(s)
+	panel := *s
+	for j := c0; j < c1; j += stripe32 {
+		j0 := max(c0, min(j, c1-stripe32))
+		w := min(stripe32, c1-j0)
+		var rows [stripe32][]float32
+		for jj := 0; jj < w; jj++ {
+			rows[jj] = b.data[(j0+jj)*kk : (j0+jj+1)*kk]
+		}
+		for k := 0; k < kk; k++ {
+			dst := panel[k*stripe32 : k*stripe32+w]
+			for jj := range dst {
+				dst[jj] = rows[jj][k]
+			}
+		}
+		gemmRows32(out.data[lo*p+j0:], p, a.data[lo*kk:], kk, 1, panel, stripe32, hi-lo, w, kk)
+	}
+}
+
+// mulBTRange32 is the scalar fallback of MulBTTo32. It keeps mulBTRange's
+// fusedBlock tiling over the rows of b, but runs each dot product on four
+// independent accumulators with an eight-wide unroll: a single running sum serializes on the ~4-cycle FP add latency,
 // and the float32 kernel — unlike its bit-pinned float64 twin — is free to
 // reassociate the reduction to keep the pipeline full.
 func mulBTRange32(out, a, b *Matrix32, lo, hi int) {

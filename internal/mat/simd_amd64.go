@@ -10,7 +10,10 @@ package mat
 // can force the scalar fallback on SIMD-capable hosts.
 
 //go:noescape
-func fmaRow(oi *float32, n int, a *float32, astride int, kk int, b *float32, bstride int)
+func gemm32(c *float32, ldc int, a *float32, ars int, aks int, b *float32, ldb int, m int, n int, kk int)
+
+//go:noescape
+func adaMaxBlocks(w *float32, m *float32, u *float32, grad *float32, n int, beta1 float32, c1 float32, beta2 float32, step float32)
 
 //go:noescape
 func tanhBlocks(v *float32, n int, c *float32)

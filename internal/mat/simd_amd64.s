@@ -1,8 +1,12 @@
-// AVX2+FMA kernels for the float32 fast path. Only the float32 twins use
-// these: the float64 kernels carry a bit-identical accumulation-order pin and
-// stay pure Go. Each routine is a NOSPLIT leaf over caller-validated slices,
-// processes full eight-lane stripes, and leaves sub-stripe tails to scalar Go
-// (dotCols32 / Tanh32), so no masked loads are needed.
+// AVX2 kernels for the float32 fast path: one register-blocked GEMM
+// micro-kernel (gemm32) behind all three training products, the vectorized
+// tanh, and the AdaMax step. Only the float32 twins use these: the float64
+// kernels carry a bit-identical accumulation-order pin and stay pure Go.
+// Each routine is a NOSPLIT leaf over caller-validated slices. gemm32 covers
+// every column of n >= 16 itself (its last stripe overlaps instead of
+// leaving a tail); tanhBlocks and adaMaxBlocks process full eight-lane
+// blocks and leave the sub-block tail to the scalar Go loop, so no masked
+// loads are needed.
 
 #include "textflag.h"
 
@@ -25,77 +29,196 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func fmaRow(oi *float32, n int, a *float32, astride int, kk int, b *float32, bstride int)
+// func gemm32(c *float32, ldc int, a *float32, ars int, aks int, b *float32, ldb int, m int, n int, kk int)
 //
-// For j in [0, n&^7):  oi[j] = Σ_{k<kk} a[k*astride] · b[k*bstride+j]
+// For i in [0, m), j in [0, n), n >= 16:
 //
-// One call computes the full-stripe part of one output row of a matmul: the
-// coefficient vector is broadcast element by element and FMAed against rows
-// of b, eight columns at a time. astride=1 gives the forward kernel (row of
-// a times b); astride=lda gives the aᵀ·b gradient kernel without
-// materializing the transpose. Four accumulators hide the FMA latency; their
-// final reduction order is fixed, so results are deterministic and
-// independent of how callers split the row range across goroutines.
-TEXT ·fmaRow(SB), NOSPLIT, $0-56
-	MOVQ oi+0(FP), DI
-	MOVQ n+8(FP), R8
-	MOVQ a+16(FP), R13
-	MOVQ astride+24(FP), R11
-	SHLQ $2, R11              // coefficient stride in bytes
-	MOVQ kk+32(FP), CX
-	MOVQ b+40(FP), DX
-	MOVQ bstride+48(FP), R12
-	SHLQ $2, R12              // b row stride in bytes
-	ANDQ $-8, R8              // n8: full stripes only
-	XORQ R9, R9               // j = 0
+//	c[i*ldc+j] = Σ_{k<kk} a[i*ars+k*aks] · b[k*ldb+j]
+//
+// The one float32 GEMM micro-kernel behind MulTo32, MulATTo32 and MulBTTo32.
+// A is read through two strides, so ars=lda, aks=1 is a row-major A and
+// ars=1, aks=lda is Aᵀ without a transpose; B is row-major (MulBTTo32 packs
+// Bᵀ into 16-wide panels first). Every output element is a single FMA chain
+// over k in ascending order, starting from zero, so the 4-row tiles, the
+// single-row edge passes and any split of the rows or of the columns between
+// callers all produce the same bits.
+//
+// Phase 1 walks 16-column stripes (the last one shifted left to end at n,
+// overlapping its neighbour: the overlap is recomputed bit-identically, so
+// no scalar tail is needed) and, within each stripe, 4-row tiles held in
+// eight accumulators. Phase 2 handles the m%4 leftover rows one at a time,
+// 64 columns per pass so eight chains still hide the FMA latency.
+TEXT ·gemm32(SB), NOSPLIT, $0-80
+	MOVQ ldc+8(FP), R8
+	SHLQ $2, R8               // c row stride in bytes
+	MOVQ ars+24(FP), R9
+	SHLQ $2, R9               // a row stride in bytes
+	MOVQ aks+32(FP), R10
+	SHLQ $2, R10              // a k stride in bytes
+	MOVQ ldb+48(FP), R11
+	SHLQ $2, R11              // b row stride in bytes
+	MOVQ n+64(FP), R13
+	SUBQ $16, R13             // start of the last stripe
+	MOVQ m+56(FP), R14
+	ANDQ $-4, R14             // rows covered by 4-row tiles
+	JZ   edge
+	XORQ R12, R12             // j = 0
 stripe:
-	CMPQ R9, R8
-	JGE  done
+	MOVQ R12, BX
+	CMPQ BX, R13
+	CMOVQGT R13, BX           // clamp the last stripe to end at n
+	MOVQ b+40(FP), R15
+	LEAQ (R15)(BX*4), R15     // &b[0][j]
+	MOVQ c+0(FP), DI
+	LEAQ (DI)(BX*4), DI       // &c[0][j]
+	MOVQ a+16(FP), SI
+	MOVQ m+56(FP), R14
+	ANDQ $-4, R14
+tile:
+	MOVQ SI, AX               // &a[i][0]
+	LEAQ (SI)(R9*2), BX       // &a[i+2][0]
+	MOVQ R15, DX
+	MOVQ kk+72(FP), CX
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
-	LEAQ (DX)(R9*4), BX       // &b[j]
-	MOVQ R13, AX              // &a[0]
-	MOVQ CX, R10              // k remaining
-	CMPQ R10, $4
-	JLT  ktail
-kloop:
-	VBROADCASTSS (AX), Y4
-	VFMADD231PS (BX), Y4, Y0
-	ADDQ R11, AX
-	ADDQ R12, BX
-	VBROADCASTSS (AX), Y5
-	VFMADD231PS (BX), Y5, Y1
-	ADDQ R11, AX
-	ADDQ R12, BX
-	VBROADCASTSS (AX), Y6
-	VFMADD231PS (BX), Y6, Y2
-	ADDQ R11, AX
-	ADDQ R12, BX
-	VBROADCASTSS (AX), Y7
-	VFMADD231PS (BX), Y7, Y3
-	ADDQ R11, AX
-	ADDQ R12, BX
-	SUBQ $4, R10
-	CMPQ R10, $4
-	JGE  kloop
-ktail:
-	TESTQ R10, R10
-	JZ   kdone
-	VBROADCASTSS (AX), Y4
-	VFMADD231PS (BX), Y4, Y0
-	ADDQ R11, AX
-	ADDQ R12, BX
-	DECQ R10
-	JMP  ktail
-kdone:
-	VADDPS Y1, Y0, Y0
-	VADDPS Y3, Y2, Y2
-	VADDPS Y2, Y0, Y0
-	VMOVUPS Y0, (DI)(R9*4)
-	ADDQ $8, R9
-	JMP  stripe
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	TESTQ CX, CX
+	JZ   tilestore
+tilek:
+	VMOVUPS (DX), Y8
+	VMOVUPS 32(DX), Y9
+	VBROADCASTSS (AX), Y10
+	VFMADD231PS Y8, Y10, Y0
+	VFMADD231PS Y9, Y10, Y1
+	VBROADCASTSS (AX)(R9*1), Y11
+	VFMADD231PS Y8, Y11, Y2
+	VFMADD231PS Y9, Y11, Y3
+	VBROADCASTSS (BX), Y12
+	VFMADD231PS Y8, Y12, Y4
+	VFMADD231PS Y9, Y12, Y5
+	VBROADCASTSS (BX)(R9*1), Y13
+	VFMADD231PS Y8, Y13, Y6
+	VFMADD231PS Y9, Y13, Y7
+	ADDQ R10, AX
+	ADDQ R10, BX
+	ADDQ R11, DX
+	DECQ CX
+	JNZ  tilek
+tilestore:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, (DI)(R8*1)
+	VMOVUPS Y3, 32(DI)(R8*1)
+	VMOVUPS Y4, (DI)(R8*2)
+	VMOVUPS Y5, 32(DI)(R8*2)
+	LEAQ (DI)(R8*2), AX
+	VMOVUPS Y6, (AX)(R8*1)
+	VMOVUPS Y7, 32(AX)(R8*1)
+	LEAQ (SI)(R9*4), SI
+	LEAQ (DI)(R8*4), DI
+	SUBQ $4, R14
+	JNZ  tile
+	ADDQ $16, R12
+	CMPQ R12, n+64(FP)
+	JLT  stripe
+
+edge:
+	MOVQ m+56(FP), R14
+	MOVQ R14, AX
+	ANDQ $-4, AX              // first leftover row
+	ANDQ $3, R14              // leftover rows
+	JZ   done
+	MOVQ AX, BX
+	IMULQ R9, AX
+	MOVQ a+16(FP), SI
+	ADDQ AX, SI               // &a[m4][0]
+	IMULQ R8, BX
+	MOVQ c+0(FP), DI
+	ADDQ BX, DI               // &c[m4][0]
+row:
+	XORQ R12, R12             // j = 0
+wide:
+	LEAQ 64(R12), AX
+	CMPQ AX, n+64(FP)
+	JGT  narrow
+	MOVQ SI, AX
+	MOVQ b+40(FP), DX
+	LEAQ (DX)(R12*4), DX
+	MOVQ kk+72(FP), CX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	TESTQ CX, CX
+	JZ   widestore
+widek:
+	VBROADCASTSS (AX), Y10
+	VFMADD231PS (DX), Y10, Y0
+	VFMADD231PS 32(DX), Y10, Y1
+	VFMADD231PS 64(DX), Y10, Y2
+	VFMADD231PS 96(DX), Y10, Y3
+	VFMADD231PS 128(DX), Y10, Y4
+	VFMADD231PS 160(DX), Y10, Y5
+	VFMADD231PS 192(DX), Y10, Y6
+	VFMADD231PS 224(DX), Y10, Y7
+	ADDQ R10, AX
+	ADDQ R11, DX
+	DECQ CX
+	JNZ  widek
+widestore:
+	LEAQ (DI)(R12*4), AX
+	VMOVUPS Y0, (AX)
+	VMOVUPS Y1, 32(AX)
+	VMOVUPS Y2, 64(AX)
+	VMOVUPS Y3, 96(AX)
+	VMOVUPS Y4, 128(AX)
+	VMOVUPS Y5, 160(AX)
+	VMOVUPS Y6, 192(AX)
+	VMOVUPS Y7, 224(AX)
+	ADDQ $64, R12
+	JMP  wide
+narrow:
+	CMPQ R12, n+64(FP)
+	JGE  nextrow
+	MOVQ R12, BX
+	CMPQ BX, R13
+	CMOVQGT R13, BX
+	MOVQ SI, AX
+	MOVQ b+40(FP), DX
+	LEAQ (DX)(BX*4), DX
+	MOVQ kk+72(FP), CX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	TESTQ CX, CX
+	JZ   narrowstore
+narrowk:
+	VBROADCASTSS (AX), Y10
+	VFMADD231PS (DX), Y10, Y0
+	VFMADD231PS 32(DX), Y10, Y1
+	ADDQ R10, AX
+	ADDQ R11, DX
+	DECQ CX
+	JNZ  narrowk
+narrowstore:
+	LEAQ (DI)(BX*4), AX
+	VMOVUPS Y0, (AX)
+	VMOVUPS Y1, 32(AX)
+	ADDQ $16, R12
+	JMP  narrow
+nextrow:
+	ADDQ R9, SI
+	ADDQ R8, DI
+	DECQ R14
+	JNZ  row
 done:
 	VZEROUPPER
 	RET
@@ -147,6 +270,59 @@ loop:
 	VMOVUPS Y2, (SI)
 	ADDQ $32, SI
 	CMPQ SI, DI
+	JLT  loop
+done:
+	VZEROUPPER
+	RET
+
+// func adaMaxBlocks(w *float32, m *float32, u *float32, grad *float32, n int, beta1 float32, c1 float32, beta2 float32, step float32)
+//
+// One AdaMax step over the first n&^7 elements, eight lanes at a time:
+//
+//	m = beta1·m + c1·g
+//	u = max(|g|, beta2·u)   (|g| only where |g| > beta2·u, as the scalar if)
+//	w = w − step·m/u        only where u > 0
+//
+// Deliberately no FMA: every operation rounds exactly like the scalar loop in
+// adamax32.go, so each element is bit-identical to it. VMAXPS returns its
+// second source unless the first is strictly greater, which is the scalar
+// `if ag > au` including NaN lanes; the u > 0 test is an ordered compare and
+// VBLENDVPS keeps w untouched where it fails.
+TEXT ·adaMaxBlocks(SB), NOSPLIT, $0-56
+	MOVQ w+0(FP), DI
+	MOVQ m+8(FP), SI
+	MOVQ u+16(FP), DX
+	MOVQ grad+24(FP), BX
+	MOVQ n+32(FP), CX
+	ANDQ $-8, CX
+	JZ   done
+	VBROADCASTSS beta1+40(FP), Y8
+	VBROADCASTSS c1+44(FP), Y9
+	VBROADCASTSS beta2+48(FP), Y10
+	VBROADCASTSS step+52(FP), Y11
+	VPCMPEQD Y12, Y12, Y12
+	VPSRLD $1, Y12, Y12       // 0x7fffffff: |x| mask
+	VXORPS Y13, Y13, Y13      // 0
+	XORQ AX, AX
+loop:
+	VMOVUPS (BX)(AX*4), Y1    // g
+	VMULPS (SI)(AX*4), Y8, Y0 // beta1·m
+	VMULPS Y1, Y9, Y2         // c1·g
+	VADDPS Y2, Y0, Y0         // m
+	VMOVUPS Y0, (SI)(AX*4)
+	VMULPS (DX)(AX*4), Y10, Y3 // au = beta2·u
+	VANDPS Y12, Y1, Y4        // ag = |g|
+	VMAXPS Y3, Y4, Y3         // ag > au ? ag : au
+	VMOVUPS Y3, (DX)(AX*4)
+	VCMPPS $0x1e, Y13, Y3, Y5 // u > 0 (ordered)
+	VMULPS Y0, Y11, Y6        // step·m
+	VDIVPS Y3, Y6, Y6         // step·m/u
+	VMOVUPS (DI)(AX*4), Y7    // w
+	VSUBPS Y6, Y7, Y6         // w − step·m/u
+	VBLENDVPS Y5, Y6, Y7, Y7  // u > 0 ? updated : w
+	VMOVUPS Y7, (DI)(AX*4)
+	ADDQ $8, AX
+	CMPQ AX, CX
 	JLT  loop
 done:
 	VZEROUPPER

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -16,10 +17,10 @@ func withScalarKernels(f func()) {
 }
 
 // TestSIMDKernelParity compares the SIMD float32 matmul family against the
-// scalar fallback across shapes that exercise every stripe/tail split: column
-// counts below, at, and off the eight-lane width, odd k for the FMA unroll
-// remainder, and single rows/columns. The two paths reassociate differently,
-// so parity is relative-tolerance, not bitwise.
+// scalar fallback across shapes that exercise every stripe and edge case:
+// column counts below, at, and off the 16-column stripe width, row counts
+// off the 4-row tile, and single rows/columns. The two paths reassociate
+// differently, so parity is relative-tolerance, not bitwise.
 func TestSIMDKernelParity(t *testing.T) {
 	if !useFMA {
 		t.Skip("no SIMD on this host; nothing to compare")
@@ -78,31 +79,189 @@ func TestSIMDKernelParity(t *testing.T) {
 	}
 }
 
+func sameBits32(t *testing.T, what string, got, want *Matrix32) {
+	t.Helper()
+	for i := range want.data {
+		if math.Float32bits(got.data[i]) != math.Float32bits(want.data[i]) {
+			t.Fatalf("%s: element %d = %v, serial %v (must not depend on the split)", what, i, got.data[i], want.data[i])
+		}
+	}
+}
+
 // TestSIMDKernelDeterminism pins that the SIMD path is deterministic and
-// independent of row-range splits: serial and forced-parallel products must
-// be bit-identical, same as the scalar pin in matrix32_test.go.
+// independent of how work is split: for all three float32 products, the
+// serial result must be bit-identical to row splits that cut through the
+// 4-row tiles, to the public entry points (which may run in parallel) and,
+// for MulBTTo32, to splits over the 16-column panels. Column counts hit
+// every stripe case: n%16 ∈ {0, 1, 11, 15}, below and above one stripe.
 func TestSIMDKernelDeterminism(t *testing.T) {
 	if !useFMA {
 		t.Skip("no SIMD on this host")
 	}
 	rng := rand.New(rand.NewSource(9))
-	a := New32(37, 29)
-	b := New32(29, 23)
-	for i := range a.data {
-		a.data[i] = float32(rng.NormFloat64())
+	// k is large enough that the public entry points split the wider
+	// products across goroutines (m·k·n above parallelThreshold).
+	const m, k = 37, 200
+	rowCuts := []int{0, 5, 6, 19, 37}
+	for _, n := range []int{16, 32, 1, 17, 11, 43, 15, 79} {
+		name := func(op string) string { return fmt.Sprintf("%s n=%d", op, n) }
+		split := func(out *Matrix32, rows func(out *Matrix32, lo, hi int)) {
+			for c := 1; c < len(rowCuts); c++ {
+				rows(out, rowCuts[c-1], rowCuts[c])
+			}
+		}
+
+		_, a := randPair(rng, m, k)
+		_, b := randPair(rng, k, n)
+		serial, cut, pub := New32(m, n), New32(m, n), New32(m, n)
+		mulRange32(serial, a, b, 0, m)
+		split(cut, func(o *Matrix32, lo, hi int) { mulRange32(o, a, b, lo, hi) })
+		sameBits32(t, name("MulTo32 row split"), cut, serial)
+		MulTo32(pub, a, b)
+		sameBits32(t, name("MulTo32"), pub, serial)
+
+		// MulATTo32: out (m×n) = xᵀ·y with x k×m, y k×n; rows of out are
+		// columns of x.
+		_, x := randPair(rng, k, m)
+		_, y := randPair(rng, k, n)
+		serial, cut, pub = New32(m, n), New32(m, n), New32(m, n)
+		mulATRange32(serial, x, y, 0, m)
+		split(cut, func(o *Matrix32, lo, hi int) { mulATRange32(o, x, y, lo, hi) })
+		sameBits32(t, name("MulATTo32 row split"), cut, serial)
+		MulATTo32(pub, x, y)
+		sameBits32(t, name("MulATTo32"), pub, serial)
+
+		// MulBTTo32: out (m×n) = a·zᵀ with z n×k.
+		_, z := randPair(rng, n, k)
+		serial, cut, pub = New32(m, n), New32(m, n), New32(m, n)
+		mulBTPanels32(serial, a, z, 0, m, 0, n)
+		split(cut, func(o *Matrix32, lo, hi int) { mulBTPanels32(o, a, z, lo, hi, 0, n) })
+		sameBits32(t, name("MulBTTo32 row split"), cut, serial)
+		if n >= 2*stripe32 {
+			cols := New32(m, n)
+			mulBTPanels32(cols, a, z, 0, m, 0, stripe32)
+			mulBTPanels32(cols, a, z, 0, m, stripe32, n)
+			sameBits32(t, name("MulBTTo32 panel split"), cols, serial)
+		}
+		MulBTTo32(pub, a, z)
+		sameBits32(t, name("MulBTTo32"), pub, serial)
 	}
-	for i := range b.data {
-		b.data[i] = float32(rng.NormFloat64())
+}
+
+// TestSIMDKernelParityPaperShapes checks the three float32 products at the
+// training shapes of the paper topology (batch 64, layers 1500-1500-750-250,
+// 43 classes) against the float64 product of the same float32 inputs. The
+// bound is the statistical one for a k-term float32 accumulation: a few
+// units of float32 epsilon times √k, relative to Σ|a·b| of each element.
+// A dropped or doubled term is off by ~Σ|a·b|/k, far above it.
+func TestSIMDKernelParityPaperShapes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-shape float64 references take seconds")
 	}
-	serial := New32(37, 23)
-	mulRange32(serial, a, b, 0, 37)
-	split := New32(37, 23)
-	mulRange32(split, a, b, 0, 11)
-	mulRange32(split, a, b, 11, 12)
-	mulRange32(split, a, b, 12, 37)
-	for i := range serial.data {
-		if serial.data[i] != split.data[i] {
-			t.Fatalf("element %d: serial %v split %v (SIMD rows must not depend on range splits)", i, serial.data[i], split.data[i])
+	const eps32 = 1.0 / (1 << 23)
+	rng := rand.New(rand.NewSource(11))
+	for _, s := range []struct{ m, k, n int }{
+		{64, 1500, 1500}, {1500, 64, 1500}, {64, 1500, 750}, {64, 250, 43},
+	} {
+		// check compares got (m×n) with the float64 product A·B, given A as
+		// m×k and Bᵀ as n×k row-major float64 slices.
+		check := func(op string, got *Matrix32, a, bt []float64) {
+			t.Helper()
+			tol := 4 * eps32 * math.Sqrt(float64(s.k))
+			worst := 0.0
+			for i := 0; i < s.m; i++ {
+				ai := a[i*s.k : (i+1)*s.k]
+				for j := 0; j < s.n; j++ {
+					bj := bt[j*s.k : (j+1)*s.k][:len(ai)]
+					var want, bound float64
+					for k, av := range ai {
+						p := av * bj[k]
+						want += p
+						bound += math.Abs(p)
+					}
+					d := math.Abs(float64(got.data[i*s.n+j]) - want)
+					if d > tol*bound {
+						t.Fatalf("%s %dx%dx%d (%d,%d): got %v want %v (|diff| %g > %g)", op, s.m, s.k, s.n, i, j, got.data[i*s.n+j], want, d, tol*bound)
+					}
+					worst = math.Max(worst, d/bound)
+				}
+			}
+			t.Logf("%s %dx%dx%d: worst |diff|/Σ|a·b| = %.3g (bound %.3g)", op, s.m, s.k, s.n, worst, tol)
+		}
+		// The references use the float32 operands' exact values.
+		_, a := randPair(rng, s.m, s.k)
+		_, b := randPair(rng, s.k, s.n)
+		a64, b64 := a.To64(), b.To64()
+		out := New32(s.m, s.n)
+		MulTo32(out, a, b)
+		check("MulTo32", out, a64.data, b64.T().data)
+
+		_, x := randPair(rng, s.k, s.m)
+		MulATTo32(out, x, b)
+		check("MulATTo32", out, x.To64().T().data, b64.T().data)
+
+		_, z := randPair(rng, s.n, s.k)
+		MulBTTo32(out, a, z)
+		check("MulBTTo32", out, a64.data, z.To64().data)
+	}
+}
+
+// TestAdaMaxStep32MatchesScalar pins the vectorized AdaMax step bit for bit
+// to the scalar reference loop, over several consecutive steps, at lengths
+// around the eight-lane block width and above the parallel threshold, with
+// lanes holding zero and negative-zero gradients, u = 0, and NaN/Inf in
+// every operand.
+func TestAdaMaxStep32MatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	negZero := math.Float32frombits(1 << 31)
+	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 100, adaMaxParallel + 13} {
+		w, m, u := make([]float32, n), make([]float32, n), make([]float32, n)
+		for i := range w {
+			w[i] = float32(rng.NormFloat64())
+			m[i] = float32(rng.NormFloat64()) * 0.1
+			u[i] = float32(rng.Float64())
+			switch i % 11 {
+			case 3:
+				u[i] = 0
+			case 5:
+				u[i] = nan
+			case 7:
+				m[i] = nan
+			case 9:
+				w[i] = nan
+			}
+		}
+		w2, m2, u2 := append([]float32(nil), w...), append([]float32(nil), m...), append([]float32(nil), u...)
+		g := make([]float32, n)
+		for step := 0; step < 3; step++ {
+			for i := range g {
+				g[i] = float32(rng.NormFloat64())
+				switch (i + step) % 13 {
+				case 1:
+					g[i] = 0
+				case 2:
+					g[i] = negZero
+				case 4:
+					g[i] = nan
+				case 6:
+					g[i] = -inf
+				case 8:
+					g[i] = 1e-30 // |g| below beta2·u: u decays
+				}
+			}
+			lr := float32(0.002) / float32(1-math.Pow(0.9, float64(step+1)))
+			AdaMaxStep32(w, m, u, g, 0.9, 0.999, lr)
+			adaMaxScalar32(w2, m2, u2, g, 0.9, 0.999, lr)
+			for i := range w {
+				for _, p := range [][2]float32{{w[i], w2[i]}, {m[i], m2[i]}, {u[i], u2[i]}} {
+					if math.Float32bits(p[0]) != math.Float32bits(p[1]) {
+						t.Fatalf("n=%d step %d element %d: w/m/u = %v/%v/%v, scalar %v/%v/%v",
+							n, step, i, w[i], m[i], u[i], w2[i], m2[i], u2[i])
+					}
+				}
+			}
 		}
 	}
 }

@@ -2,8 +2,10 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -57,6 +59,29 @@ func TestLoadRejectsNonFinite(t *testing.T) {
 	// The untouched blob must still load.
 	if _, err := Load(bytes.NewReader(base)); err != nil {
 		t.Fatalf("pristine blob rejected: %v", err)
+	}
+}
+
+// TestLoadOversizedHeaderFailsWithoutAllocating: a blob whose header
+// announces a 131072×65536 layer but carries no parameters must fail with an
+// error, allocating in proportion to the bytes present rather than to the
+// header (the fuzz smoke found such a blob killing the process with a fatal
+// out-of-memory error).
+func TestLoadOversizedHeaderFailsWithoutAllocating(t *testing.T) {
+	blob := append([]byte("expdnn01"), make([]byte, 32)...)
+	binary.LittleEndian.PutUint64(blob[8:], 1) // layer count
+	binary.LittleEndian.PutUint64(blob[16:], 1<<17)
+	binary.LittleEndian.PutUint64(blob[24:], 1<<16)
+	binary.LittleEndian.PutUint64(blob[32:], uint64(Tanh))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Load(bytes.NewReader(blob))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("blob without parameters accepted")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+		t.Fatalf("rejecting a %d-byte blob allocated %d bytes", len(blob), d)
 	}
 }
 

@@ -78,12 +78,12 @@ func Load(r io.Reader) (*Network, error) {
 			return nil, fmt.Errorf("nn: load: layer %d input %d does not match previous output %d", i, in, prevOut)
 		}
 		prevOut = out
-		wdata := make([]float64, in*out)
-		if err := readFloats(br, wdata); err != nil {
+		wdata, err := readFloats(br, in*out)
+		if err != nil {
 			return nil, fmt.Errorf("nn: load: layer %d weights: %w", i, err)
 		}
-		b := make([]float64, out)
-		if err := readFloats(br, b); err != nil {
+		b, err := readFloats(br, out)
+		if err != nil {
 			return nil, fmt.Errorf("nn: load: layer %d biases: %w", i, err)
 		}
 		// A NaN or ±Inf parameter poisons every downstream prediction the first
@@ -125,13 +125,26 @@ func writeFloats(w io.Writer, fs []float64) error {
 	return nil
 }
 
-func readFloats(r io.Reader, fs []float64) error {
-	buf := make([]byte, 8*len(fs))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
+// readFloats reads n little-endian float64s. It reads in bounded chunks and
+// grows the result only as data arrives, so a header announcing a layer far
+// larger than the stream fails with an EOF error instead of first allocating
+// for it: a 40-byte blob declaring a 131072×65536 layer used to request
+// 64 GiB up front and kill the process with a fatal out-of-memory error.
+func readFloats(r io.Reader, n int) ([]float64, error) {
+	const chunk = 1 << 13 // floats per read
+	buf := make([]byte, 8*min(n, chunk))
+	fs := make([]float64, 0, min(n, chunk))
+	for len(fs) < n {
+		k := min(n-len(fs), chunk)
+		if _, err := io.ReadFull(r, buf[:8*k]); err != nil {
+			if err == io.EOF && len(fs) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		for i := 0; i < k; i++ {
+			fs = append(fs, math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:])))
+		}
 	}
-	for i := range fs {
-		fs[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	return nil
+	return fs, nil
 }

@@ -478,7 +478,9 @@ func addBias32(z *mat.Matrix32, bias []float32) {
 
 // applyUpdate32 performs one optimizer step on a float32 layer. The moment
 // decays and bias corrections are computed in float64 (they involve
-// math.Pow of step counters) and applied in float32.
+// math.Pow of step counters) and applied in float32. AdaMax, the default,
+// runs on mat.AdaMaxStep32 (vectorized, split across cores for large
+// layers, bit-identical to its scalar loop).
 func applyUpdate32(l layer32, st *optState32, dW *mat.Matrix32, dB []float32, opts TrainOptions) {
 	st.step++
 	t := float64(st.step)
@@ -509,41 +511,13 @@ func applyUpdate32(l layer32, st *optState32, dW *mat.Matrix32, dB []float32, op
 			l.b[i] -= lr * (st.mB[i] / corr1) / (sqrt32(st.vB[i]/corr2) + 1e-8)
 		}
 	default: // AdaMax
-		corr1 := float32(1 - math.Pow(opts.Beta1, t))
-		w, m, u, g := l.w.Data(), st.mW.Data(), st.vW.Data(), dW.Data()
-		for i := range w {
-			m[i] = beta1*m[i] + (1-beta1)*g[i]
-			au := beta2 * u[i]
-			if ag := abs32(g[i]); ag > au {
-				au = ag
-			}
-			u[i] = au
-			if u[i] > 0 {
-				w[i] -= (lr / corr1) * m[i] / u[i]
-			}
-		}
-		for i := range l.b {
-			st.mB[i] = beta1*st.mB[i] + (1-beta1)*dB[i]
-			au := beta2 * st.vB[i]
-			if ag := abs32(dB[i]); ag > au {
-				au = ag
-			}
-			st.vB[i] = au
-			if st.vB[i] > 0 {
-				l.b[i] -= (lr / corr1) * st.mB[i] / st.vB[i]
-			}
-		}
+		step := lr / float32(1-math.Pow(opts.Beta1, t))
+		mat.AdaMaxStep32(l.w.Data(), st.mW.Data(), st.vW.Data(), dW.Data(), beta1, beta2, step)
+		mat.AdaMaxStep32(l.b, st.mB, st.vB, dB, beta1, beta2, step)
 	}
 }
 
 func sqrt32(v float32) float32 { return float32(math.Sqrt(float64(v))) }
-
-func abs32(v float32) float32 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
 
 // inferBuffers32 is the float32 twin of inferBuffers: two ping-pong
 // activation buffers with prebuilt per-layer views for a fixed row count.

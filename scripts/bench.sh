@@ -43,6 +43,12 @@ run() {
 
 # Float32 kernel twins vs float64 at training shapes.
 run internal/mat 'BenchmarkMulTo$|BenchmarkMulATTo$|BenchmarkMulBTTo$' 100x
+# All three products at the paper topology's training shapes (GFLOP/s is in
+# the go test output; ns/op is recorded here).
+run internal/mat 'BenchmarkGEMMPaper$' 10x
+# One paper-topology domain adaptation per op, float64 vs float32 (9 samples
+# per class, 1 epoch: the benchmark's cold campaign settings).
+run internal/dnnmodel 'BenchmarkDomainAdapt$/paper' 1x
 # End-to-end training (f64 vs f32), batched inference, per-row baselines.
 run internal/nn 'BenchmarkTrainEpochs$|BenchmarkTrainEpochsF32$|BenchmarkForwardBatched$|BenchmarkForwardPerRow$|BenchmarkTopKPerRow$|BenchmarkTopKBatch$' 20x
 # Cross-set batched prediction vs the per-set modeling loop.

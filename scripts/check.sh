@@ -28,6 +28,9 @@ go vet ./cmd/...
 echo "==> go build ./..."
 go build ./...
 
+echo "==> perfbench vet + build (its own module: a public API it uses must not break)"
+(cd perfbench && go vet . && go build -o /dev/null .)
+
 echo "==> go test ./..."
 go test ./...
 
@@ -61,8 +64,8 @@ done
 go test -run '^$' -fuzz '^FuzzLoadNetwork$' -fuzztime 5s ./internal/nn/
 go test -run '^$' -fuzz '^FuzzScanProfile$' -fuzztime 5s ./internal/profile/
 
-echo "==> float32 parity gate (SIMD kernels, f32 training/inference vs float64, default-precision golden pin)"
-go test -count=1 -run 'TestSIMDKernelParity|TestSIMDKernelDeterminism|TestTanh32sMatchesScalar' ./internal/mat/
+echo "==> float32 parity gate (SIMD GEMM split-determinism + paper-shape parity, AdaMax bit-identity, f32 training/inference vs float64, default-precision golden pin)"
+go test -count=1 -run 'TestSIMDKernelParity|TestSIMDKernelParityPaperShapes|TestSIMDKernelDeterminism|TestAdaMaxStep32MatchesScalar|TestTanh32sMatchesScalar' ./internal/mat/
 go test -count=1 -run 'TestTrainFloat32ParityWithFloat64|TestInferSessionFloat32Parity|TestTopKBatchMatchesTopK|TestDefaultPrecisionGoldenWeights' ./internal/nn/
 
 echo "==> batched-inference allocation gate (InferSession steady state => zero allocations)"
