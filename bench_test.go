@@ -241,21 +241,58 @@ func BenchmarkMatMul256(b *testing.B) {
 	}
 }
 
+// BenchmarkLeastSquares measures one hypothesis of the m = 3 combination
+// search on the reusable factorization: a 125-point grid design (intercept
+// plus three PMNF product terms spanning orders of magnitude) equilibrated
+// and factored once, then solved, with fitted values and leverages for the
+// leave-one-out score. The steady state allocates nothing.
 func BenchmarkLeastSquares(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
-	a := mat.New(125, 4)
-	y := make([]float64, 125)
-	for i := range a.Data() {
-		a.Data()[i] = rng.NormFloat64()
+	grid := []float64{2, 4, 8, 16, 32}
+	terms := [][3]pmnf.Exponents{
+		{{I: 1}, {}, {}},
+		{{}, {I: 1, J: 1}, {I: 0.5}},
+		{{I: 2}, {}, {J: 2}},
 	}
+	const n = 125
+	design := make([][]float64, len(terms))
+	for t, exps := range terms {
+		design[t] = make([]float64, n)
+		for i := range design[t] {
+			x := [3]float64{grid[i/25], grid[i/5%5], grid[i%5]}
+			v := 1.0
+			for l, e := range exps {
+				if !e.IsConstant() {
+					v *= e.Eval(x[l])
+				}
+			}
+			design[t][i] = v
+		}
+	}
+	y := make([]float64, n)
 	for i := range y {
-		y[i] = rng.NormFloat64()
+		y[i] = 1 + 100*rng.Float64()
 	}
+	fit, hat := make([]float64, n), make([]float64, n)
+	var qr mat.QR
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mat.LeastSquares(a, y); err != nil {
+		qr.Reset(n, 1+len(terms))
+		for r, col := 0, qr.Col(0); r < n; r++ {
+			col[r] = 1
+		}
+		for t, col := range design {
+			copy(qr.Col(t+1), col)
+		}
+		if err := qr.Factor(); err != nil {
 			b.Fatal(err)
 		}
+		if _, err := qr.Solve(y); err != nil {
+			b.Fatal(err)
+		}
+		qr.Fitted(fit)
+		qr.Leverages(hat)
 	}
 }
 

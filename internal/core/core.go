@@ -412,8 +412,8 @@ func (m *Modeler) modelCtx(ctx context.Context, set *measurement.Set) (Report, e
 			return rep, err
 		}
 		regStart := time.Now()
-		_, regSpan := obs.StartSpan(ctx, "core.regression")
-		res, err := regression.Model(set, regression.Options{TopK: m.cfg.TopK})
+		regCtx, regSpan := obs.StartSpan(ctx, "core.regression")
+		res, err := regression.ModelCtx(regCtx, set, regression.Options{TopK: m.cfg.TopK})
 		regSpan.End()
 		rep.Durations.Regression = time.Since(regStart)
 		if err != nil {

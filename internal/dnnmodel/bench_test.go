@@ -120,7 +120,8 @@ func benchBatchSets(n int) []*measurement.Set {
 }
 
 // BenchmarkModelPerSet is the per-kernel baseline: Model on each set in turn,
-// one classification forward per set.
+// one classification forward per set. One op models 16 sets; ns/set is the
+// per-kernel figure.
 func BenchmarkModelPerSet(b *testing.B) {
 	m := benchModeler(b, nn.Float64)
 	sets := benchBatchSets(16)
@@ -133,6 +134,7 @@ func BenchmarkModelPerSet(b *testing.B) {
 			}
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sets)), "ns/set")
 }
 
 // BenchmarkPredictBatch models the same sets through the cross-kernel batched
@@ -151,6 +153,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 					}
 				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sets)), "ns/set")
 		})
 	}
 }

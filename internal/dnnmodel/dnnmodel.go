@@ -492,13 +492,13 @@ func (m *Modeler) ModelCtx(ctx context.Context, set *measurement.Set) (regressio
 		if err := ctx.Err(); err != nil {
 			return regression.Result{}, err
 		}
-		cands, err := regression.FitLine(line.Xs, line.Vs, classes[l], m.topK())
+		cands, err := regression.FitLineCtx(ctx, line.Xs, line.Vs, classes[l], m.topK())
 		if err != nil {
 			return regression.Result{}, fmt.Errorf("dnnmodel: parameter %d: %w", l, err)
 		}
 		perParam[l] = cands
 	}
-	return regression.Combine(set, perParam)
+	return regression.CombineCtx(ctx, set, perParam)
 }
 
 // classifyLines classifies every selected line of a set in one batched
@@ -642,7 +642,7 @@ func (m *Modeler) ModelBatchCtx(ctx context.Context, sets []*measurement.Set) []
 			for j, cls := range classes {
 				exps[j] = pmnf.Class(cls)
 			}
-			cands, err := regression.FitLine(line.Xs, line.Vs, exps, m.topK())
+			cands, err := regression.FitLineCtx(ctx, line.Xs, line.Vs, exps, m.topK())
 			if err != nil {
 				out[i].Err = fmt.Errorf("dnnmodel: parameter %d: %w", l, err)
 				break
@@ -652,7 +652,7 @@ func (m *Modeler) ModelBatchCtx(ctx context.Context, sets []*measurement.Set) []
 		if out[i].Err != nil {
 			continue
 		}
-		out[i].Result, out[i].Err = regression.Combine(sets[i], perParam)
+		out[i].Result, out[i].Err = regression.CombineCtx(ctx, sets[i], perParam)
 	}
 	m.putSession(s)
 	return out

@@ -1,7 +1,7 @@
 // Package mat provides the dense linear algebra needed by the performance
 // modelers and the neural-network library: matrices backed by contiguous
 // float64 storage, basic BLAS-like kernels with optional goroutine
-// parallelism, and least-squares solvers (QR and normal equations).
+// parallelism, and a reusable QR factorization for least squares.
 //
 // The package is deliberately small: it implements exactly what the rest of
 // the module needs, with predictable memory behavior (no hidden aliasing,

@@ -248,14 +248,6 @@ func TestMulToRejectsBadOutput(t *testing.T) {
 	MulTo(New(2, 2), New(2, 3), New(3, 3))
 }
 
-func TestMulVec(t *testing.T) {
-	a := NewFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	got := MulVec(a, []float64{1, 1, 1})
-	if got[0] != 6 || got[1] != 15 {
-		t.Fatalf("MulVec = %v, want [6 15]", got)
-	}
-}
-
 func TestDotAndNorm(t *testing.T) {
 	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
 		t.Fatal("Dot wrong")

@@ -113,44 +113,6 @@ func mulRange(out, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// MulVec returns a*x for a column vector x (len(x) == a.cols).
-func MulVec(a *Matrix, x []float64) []float64 {
-	if a.cols != len(x) {
-		panic(fmt.Sprintf("mat: MulVec dimension mismatch %dx%d by vec %d", a.rows, a.cols, len(x)))
-	}
-	out := make([]float64, a.rows)
-	for i := 0; i < a.rows; i++ {
-		ri := a.data[i*a.cols : (i+1)*a.cols]
-		s := 0.0
-		for j, v := range ri {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// MulVecTo computes a*x into dst (len(dst) == a.rows), allocation-free. It
-// accumulates in exactly the same order as MulVec, so results are
-// bit-identical — the hypothesis-fitting workspace in internal/regression
-// relies on that to stay byte-equal to the allocating path.
-func MulVecTo(dst []float64, a *Matrix, x []float64) {
-	if a.cols != len(x) {
-		panic(fmt.Sprintf("mat: MulVecTo dimension mismatch %dx%d by vec %d", a.rows, a.cols, len(x)))
-	}
-	if a.rows != len(dst) {
-		panic(fmt.Sprintf("mat: MulVecTo dst length %d, need %d", len(dst), a.rows))
-	}
-	for i := 0; i < a.rows; i++ {
-		ri := a.data[i*a.cols : (i+1)*a.cols]
-		s := 0.0
-		for j, v := range ri {
-			s += v * x[j]
-		}
-		dst[i] = s
-	}
-}
-
 // Dot returns the inner product of x and y, which must have equal length.
 func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {

@@ -70,7 +70,7 @@ func TestModelNeverWorseThanConstantProperty(t *testing.T) {
 			return true // degenerate draws may legitimately fail
 		}
 		_, vs := inst.Set.Medians()
-		constCand, ok := newFitWorkspace(len(vs)).fitHypothesis(xsOf(inst), vs, pmnf.Exponents{})
+		constCand, ok := fitOne(xsOf(inst), vs, pmnf.Exponents{})
 		if !ok {
 			return true
 		}

@@ -13,15 +13,14 @@
 package regression
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 
-	"extrapdnn/internal/mat"
 	"extrapdnn/internal/measurement"
+	"extrapdnn/internal/obs"
 	"extrapdnn/internal/pmnf"
-	"extrapdnn/internal/stats"
 )
 
 // DefaultTopK is the number of best single-parameter hypotheses per
@@ -81,231 +80,112 @@ func (c Candidate) Eval(x float64) float64 {
 // constant hypothesis is always searched so a parameter without influence on
 // performance can be recognized.
 func FitLine(xs, vs []float64, classes []pmnf.Exponents, topK int) ([]Candidate, error) {
+	return FitLineCtx(context.Background(), xs, vs, classes, topK)
+}
+
+// FitLineCtx is FitLine traced as a "fit_single" span (child of the span ctx
+// carries) with the number of fitted hypotheses as attribute.
+func FitLineCtx(ctx context.Context, xs, vs []float64, classes []pmnf.Exponents, topK int) ([]Candidate, error) {
+	_, span := obs.StartSpan(ctx, spanFitSingle)
+	cands, hypotheses, err := fitLine(xs, vs, classes, topK)
+	span.SetInt(attrHypotheses, int64(hypotheses))
+	span.End()
+	return cands, err
+}
+
+// Stage span names and attribute of the hypothesis search; benchmarks use
+// the same names for the same stages.
+const (
+	spanFitSingle  = "fit_single"
+	spanFitCombine = "fit_combine"
+	attrHypotheses = "hypotheses"
+)
+
+// fitLine is FitLine without the span; it also returns the number of
+// hypotheses fitted.
+func fitLine(xs, vs []float64, classes []pmnf.Exponents, topK int) ([]Candidate, int, error) {
 	if len(xs) != len(vs) {
-		return nil, fmt.Errorf("regression: %d positions vs %d values", len(xs), len(vs))
+		return nil, 0, fmt.Errorf("regression: %d positions vs %d values", len(xs), len(vs))
 	}
 	if len(xs) < measurement.MinPointsPerParameter {
-		return nil, fmt.Errorf("regression: need at least %d points per parameter, got %d",
+		return nil, 0, fmt.Errorf("regression: need at least %d points per parameter, got %d",
 			measurement.MinPointsPerParameter, len(xs))
 	}
-	var cands []Candidate
+	e := getEngine()
+	defer putEngine(e)
+	cands := e.cands[:0]
 	seenConstant := false
-	ws := newFitWorkspace(len(xs))
-	for _, e := range classes {
-		if e.IsConstant() {
+	for _, cls := range classes {
+		if cls.IsConstant() {
 			seenConstant = true
 		}
-		c, ok := ws.fitHypothesis(xs, vs, e)
-		if ok {
+		if c, ok := e.fitClass(xs, vs, cls); ok {
 			cands = append(cands, c)
 		}
 	}
+	hypotheses := len(classes)
 	if !seenConstant {
-		if c, ok := ws.fitHypothesis(xs, vs, pmnf.Exponents{}); ok {
+		hypotheses++
+		if c, ok := e.fitClass(xs, vs, pmnf.Exponents{}); ok {
 			cands = append(cands, c)
 		}
 	}
+	e.cands = cands
 	if len(cands) == 0 {
-		return nil, errors.New("regression: no hypothesis could be fitted")
+		return nil, hypotheses, errors.New("regression: no hypothesis could be fitted")
 	}
 	// Rank by cross-validated SMAPE; on (near-)ties prefer the simpler
 	// hypothesis — the same bias toward the simplest explanation that the
-	// PMNF itself encodes.
-	sort.SliceStable(cands, func(a, b int) bool {
-		da, db := cands[a].SMAPE, cands[b].SMAPE
-		if diff := da - db; diff < -1e-9 || diff > 1e-9 {
-			return da < db
+	// PMNF itself encodes. The comparator answers only "less", like the
+	// sort.SliceStable call it replaces, so the order is the same.
+	less := func(a, b Candidate) bool {
+		if diff := a.SMAPE - b.SMAPE; diff < -1e-9 || diff > 1e-9 {
+			return a.SMAPE < b.SMAPE
 		}
-		ca := cands[a].Exps.I + cands[a].Exps.J/4
-		cb := cands[b].Exps.I + cands[b].Exps.J/4
-		return ca < cb
+		return a.Exps.I+a.Exps.J/4 < b.Exps.I+b.Exps.J/4
+	}
+	slices.SortStableFunc(cands, func(a, b Candidate) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
+		}
+		return 0
 	})
-	if len(cands) > topK {
-		cands = cands[:topK]
-	}
-	return cands, nil
+	out := make([]Candidate, min(len(cands), topK))
+	copy(out, cands)
+	return out, hypotheses, nil
 }
 
-// fitWorkspace holds the buffers of the single-parameter hypothesis search.
-// One workspace serves the whole class loop of a FitLine call: the n×2
-// design matrix, its equilibrated copy, the 2×2 Gram matrix and inverse, and
-// the fit/LOO vectors are written in place per class instead of reallocated,
-// and the basis column e.Eval(x) is evaluated once per class and shared by
-// all n leave-one-out folds through the hat-matrix identity. Every
-// accumulation runs in the same order as the allocating helpers it replaces
-// (mat.MulVecTo vs MulVec, mat.GramTo vs Gram), so the candidates are
-// bit-identical — pinned by TestFitLineMatchesReference.
-type fitWorkspace struct {
-	a    *mat.Matrix // n×2 design: intercept column + basis column
-	eq   *mat.Matrix // column-equilibrated copy of a
-	gram *mat.Matrix // 2×2 Gram matrix of eq
-	inv  *mat.Matrix // 2×2 inverse of gram
-	fits []float64   // in-sample predictions a·coef
-	loo  []float64   // leave-one-out predictions
-	hv   []float64   // inv·a_i scratch for hat values
-	unit []float64   // unit vector for the column-wise Gram inversion
-}
-
-func newFitWorkspace(n int) *fitWorkspace {
-	return &fitWorkspace{
-		a:    mat.New(n, 2),
-		eq:   mat.New(n, 2),
-		gram: mat.New(2, 2),
-		inv:  mat.New(2, 2),
-		fits: make([]float64, n),
-		loo:  make([]float64, n),
-		hv:   make([]float64, 2),
-		unit: make([]float64, 2),
+// fitClass fits one exponent class c0 + c1·x^i·log2(x)^j to a line and
+// scores it by leave-one-out cross-validation.
+func (e *fitEngine) fitClass(xs, vs []float64, cls pmnf.Exponents) (Candidate, bool) {
+	if cls.IsConstant() {
+		c0, smape := e.scoreConstant(vs)
+		return Candidate{Exps: cls, C0: c0, SMAPE: smape}, true
 	}
-}
-
-// fitHypothesis fits one exponent class to a line and scores it by
-// leave-one-out cross-validation.
-func (ws *fitWorkspace) fitHypothesis(xs, vs []float64, e pmnf.Exponents) (Candidate, bool) {
-	n := len(xs)
-	if e.IsConstant() {
-		// Constant model: the LOO prediction for point i is the mean of the
-		// remaining points.
-		total := 0.0
-		for _, v := range vs {
-			total += v
-		}
-		loo := ws.loo
-		for i, v := range vs {
-			loo[i] = (total - v) / float64(n-1)
-		}
-		return Candidate{Exps: e, C0: total / float64(n), SMAPE: stats.SMAPE(loo, vs)}, true
-	}
+	e.design(len(xs), 2)
+	col := e.qr.Col(1)
 	for i, x := range xs {
-		ws.a.Set(i, 0, 1)
-		ws.a.Set(i, 1, e.Eval(x))
+		col[i] = cls.Eval(x)
 	}
-	coef, err := mat.LeastSquares(ws.a, vs)
-	if err != nil {
+	coef, smape, ok := e.score(vs)
+	if !ok {
 		return Candidate{}, false
 	}
-	if err := ws.looPredictions(vs, coef); err != nil {
-		return Candidate{}, false
-	}
-	return Candidate{Exps: e, C0: coef[0], C1: coef[1], SMAPE: stats.SMAPE(ws.loo, vs)}, true
-}
-
-// looPredictions computes the exact leave-one-out predictions of the current
-// design (ws.a) into ws.loo, reusing the workspace buffers. It is the
-// allocation-free twin of the package-level looPredictions and matches its
-// arithmetic exactly.
-func (ws *fitWorkspace) looPredictions(y, coef []float64) error {
-	n, p := ws.a.Rows(), ws.a.Cols()
-	mat.MulVecTo(ws.fits, ws.a, coef)
-	equilibratedInto(ws.eq, ws.a)
-	mat.GramTo(ws.gram, ws.eq)
-	// Invert the Gram matrix column by column via Cholesky solves.
-	for j := 0; j < p; j++ {
-		ws.unit[j] = 1
-		col, err := mat.SolveCholesky(ws.gram, ws.unit)
-		ws.unit[j] = 0
-		if err != nil {
-			return err
-		}
-		for i := 0; i < p; i++ {
-			ws.inv.Set(i, j, col[i])
-		}
-	}
-	for i := 0; i < n; i++ {
-		ai := ws.eq.Row(i)
-		fit := ws.fits[i]
-		mat.MulVecTo(ws.hv, ws.inv, ai)
-		h := mat.Dot(ai, ws.hv)
-		den := 1 - h
-		if den < 1e-10 {
-			// The point fully determines its own fit; fall back to the
-			// in-sample prediction (the hypothesis is too flexible for LOO).
-			ws.loo[i] = fit
-			continue
-		}
-		ws.loo[i] = y[i] - (y[i]-fit)/den
-	}
-	return nil
-}
-
-// looPredictions returns the exact leave-one-out predictions of a linear
-// least-squares fit using the hat-matrix identity
-//
-//	pred_i = y_i - r_i / (1 - h_ii),  h_ii = a_i^T (A^T A)^{-1} a_i,
-//
-// which avoids refitting per point. coef must be the full-data solution.
-func looPredictions(a *mat.Matrix, y, coef []float64) ([]float64, error) {
-	n, p := a.Rows(), a.Cols()
-	// Hat values are invariant under column scaling, so compute them from a
-	// column-equilibrated copy: PMNF designs mix unit intercepts with term
-	// columns of enormous magnitude, which would wreck the Gram solve.
-	fits := mat.MulVec(a, coef)
-	a = equilibrated(a)
-	gram := mat.Gram(a)
-	// Invert the Gram matrix column by column via Cholesky solves.
-	inv := mat.New(p, p)
-	unit := make([]float64, p)
-	for j := 0; j < p; j++ {
-		unit[j] = 1
-		col, err := mat.SolveCholesky(gram, unit)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < p; i++ {
-			inv.Set(i, j, col[i])
-		}
-		unit[j] = 0
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		ai := a.Row(i)
-		fit := fits[i]
-		h := mat.Dot(ai, mat.MulVec(inv, ai))
-		den := 1 - h
-		if den < 1e-10 {
-			// The point fully determines its own fit; fall back to the
-			// in-sample prediction (the hypothesis is too flexible for LOO).
-			out[i] = fit
-			continue
-		}
-		out[i] = y[i] - (y[i]-fit)/den
-	}
-	return out, nil
-}
-
-// equilibrated returns a copy of a with each column scaled to unit norm.
-func equilibrated(a *mat.Matrix) *mat.Matrix {
-	c := a.Clone()
-	scaleColumnsToUnitNorm(c)
-	return c
-}
-
-// equilibratedInto copies a into dst (same shape) and scales each column to
-// unit norm, allocation-free.
-func equilibratedInto(dst, a *mat.Matrix) {
-	copy(dst.Data(), a.Data())
-	scaleColumnsToUnitNorm(dst)
-}
-
-func scaleColumnsToUnitNorm(c *mat.Matrix) {
-	n, p := c.Rows(), c.Cols()
-	for j := 0; j < p; j++ {
-		norm := 0.0
-		for i := 0; i < n; i++ {
-			norm = math.Hypot(norm, c.At(i, j))
-		}
-		if norm == 0 {
-			continue
-		}
-		for i := 0; i < n; i++ {
-			c.Set(i, j, c.At(i, j)/norm)
-		}
-	}
+	return Candidate{Exps: cls, C0: coef[0], C1: coef[1], SMAPE: smape}, true
 }
 
 // Model builds a performance model for a measurement set with any number of
 // parameters using the classic exhaustive regression search.
 func Model(set *measurement.Set, opts Options) (Result, error) {
+	return ModelCtx(context.Background(), set, opts)
+}
+
+// ModelCtx is Model with its fit_single and fit_combine spans parented by
+// the span ctx carries.
+func ModelCtx(ctx context.Context, set *measurement.Set, opts Options) (Result, error) {
 	if err := set.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -315,11 +195,11 @@ func Model(set *measurement.Set, opts Options) (Result, error) {
 	}
 	perParam := make([][]Candidate, len(lines))
 	for l, line := range lines {
-		cands, err := FitLine(line.Xs, line.Vs, opts.classes(), opts.topK())
+		cands, err := FitLineCtx(ctx, line.Xs, line.Vs, opts.classes(), opts.topK())
 		if err != nil {
 			return Result{}, fmt.Errorf("parameter %d: %w", l, err)
 		}
 		perParam[l] = cands
 	}
-	return Combine(set, perParam)
+	return CombineCtx(ctx, set, perParam)
 }

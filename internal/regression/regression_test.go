@@ -43,7 +43,7 @@ func TestFitHypothesisExactRecovery(t *testing.T) {
 	for i, x := range xs {
 		vs[i] = 3 + 2*e.Eval(x)
 	}
-	c, ok := newFitWorkspace(len(xs)).fitHypothesis(xs, vs, e)
+	c, ok := fitOne(xs, vs, e)
 	if !ok {
 		t.Fatal("fit failed")
 	}
@@ -58,7 +58,7 @@ func TestFitHypothesisExactRecovery(t *testing.T) {
 func TestFitHypothesisConstant(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	vs := []float64{7, 7, 7, 7, 7}
-	c, ok := newFitWorkspace(len(xs)).fitHypothesis(xs, vs, pmnf.Exponents{})
+	c, ok := fitOne(xs, vs, pmnf.Exponents{})
 	if !ok || math.Abs(c.C0-7) > 1e-12 || c.SMAPE > 1e-9 {
 		t.Fatalf("constant fit = %+v", c)
 	}
@@ -127,45 +127,144 @@ func TestFitLineAlwaysConsidersConstant(t *testing.T) {
 	}
 }
 
+// fitOne fits a single exponent class through a pooled engine.
+func fitOne(xs, vs []float64, e pmnf.Exponents) (Candidate, bool) {
+	eng := getEngine()
+	defer putEngine(eng)
+	return eng.fitClass(xs, vs, e)
+}
+
+// checkLOO asserts the engine state after a successful score: every
+// leverage in [0, 1] (up to rounding) and every leave-one-out prediction
+// finite.
+func checkLOO(t testing.TB, e *fitEngine, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if h := e.hat[i]; !(h >= 0 && h <= 1+1e-12) {
+			t.Fatalf("leverage h[%d] = %v outside [0, 1]", i, h)
+		}
+		if v := e.loo[i]; math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("leave-one-out prediction %d = %v", i, v)
+		}
+	}
+}
+
+// TestLooPredictionsMatchExplicitRefit checks the engine's hat-identity
+// leave-one-out predictions against explicit refits without the point, for
+// designs of p = 1..4 coefficients shaped like Combine's: an intercept plus
+// products of PMNF basis columns over a parameter grid. The point sequences
+// include exponential ones (2^k, 8^k) and the values spread over nine orders
+// of magnitude, which makes the designs ill-conditioned.
 func TestLooPredictionsMatchExplicitRefit(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	n := 8
-	a := mat.New(n, 2)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		a.Set(i, 0, 1)
-		a.Set(i, 1, float64(i+1))
-		y[i] = 2 + 3*float64(i+1) + rng.NormFloat64()
+	sequences := [][]float64{
+		{1, 2, 3, 4, 5, 6},
+		{4, 8, 16, 32, 64, 128},
+		{2, 16, 128, 1024, 8192, 65536},
+		{10, 20, 30, 40, 50, 60},
 	}
-	coef, err := mat.LeastSquares(a, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loo, err := looPredictions(a, y, coef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Explicit refit leaving out point i.
-	for i := 0; i < n; i++ {
-		sub := mat.New(n-1, 2)
-		suby := make([]float64, 0, n-1)
-		r := 0
-		for j := 0; j < n; j++ {
-			if j == i {
+	classes := pmnf.Classes()
+	e := getEngine()
+	defer putEngine(e)
+	for trial := 0; trial < 120; trial++ {
+		p := 1 + trial%4
+		// A grid over p-1 parameters (one parameter for p = 1).
+		m := max(p-1, 1)
+		seqs := make([][]float64, m)
+		for l := range seqs {
+			seqs[l] = sequences[rng.Intn(len(sequences))]
+		}
+		var points [][]float64
+		var rec func(pt []float64)
+		rec = func(pt []float64) {
+			if len(pt) == m {
+				points = append(points, append([]float64(nil), pt...))
+				return
+			}
+			for _, v := range seqs[len(pt)][:4+rng.Intn(3)] {
+				rec(append(pt, v))
+			}
+		}
+		rec(nil)
+		n := len(points)
+		// Term t multiplies a random class of parameter t with, sometimes, a
+		// class of another parameter.
+		terms := make([][]pmnf.Exponents, p-1)
+		for tm := range terms {
+			exps := make([]pmnf.Exponents, m)
+			exps[tm] = classes[rng.Intn(len(classes))]
+			if o := rng.Intn(m); o != tm && rng.Intn(2) == 0 {
+				exps[o] = classes[rng.Intn(len(classes))]
+			}
+			terms[tm] = exps
+		}
+		a := mat.New(n, p)
+		for i, pt := range points {
+			a.Set(i, 0, 1)
+			for tm, exps := range terms {
+				a.Set(i, tm+1, pmnf.Term{Coefficient: 1, Exps: exps}.Eval(pt))
+			}
+		}
+		spread := math.Pow(10, float64(rng.Intn(10))) // up to 1e9
+		y := make([]float64, n)
+		for i := range y {
+			y[i] = 1 + spread*rng.Float64()
+		}
+
+		e.design(n, p)
+		for j := 1; j < p; j++ {
+			col := e.qr.Col(j)
+			for i := range col {
+				col[i] = a.At(i, j)
+			}
+		}
+		if _, _, ok := e.score(y); !ok {
+			continue // numerically rank-deficient draw
+		}
+		checkLOO(t, e, n)
+		maxY := 0.0
+		for _, v := range y {
+			maxY = math.Max(maxY, math.Abs(v))
+		}
+		for i := 0; i < n; i++ {
+			if e.hat[i] > 1-1e-6 {
+				continue // the explicit refit itself is ill-posed here
+			}
+			sub := mat.New(n-1, p)
+			suby := make([]float64, 0, n-1)
+			r := 0
+			for j := 0; j < n; j++ {
+				if j == i {
+					continue
+				}
+				for c := 0; c < p; c++ {
+					sub.Set(r, c, a.At(j, c))
+				}
+				suby = append(suby, y[j])
+				r++
+			}
+			subcoef, err := refLeastSquares(sub, suby)
+			if err != nil {
 				continue
 			}
-			sub.Set(r, 0, a.At(j, 0))
-			sub.Set(r, 1, a.At(j, 1))
-			suby = append(suby, y[j])
-			r++
+			want := 0.0
+			for c := 0; c < p; c++ {
+				want += subcoef[c] * a.At(i, c)
+			}
+			if d := math.Abs(e.loo[i] - want); d > 1e-9*maxY/(1-e.hat[i]) {
+				t.Fatalf("trial %d (p=%d, n=%d): LOO prediction %d: hat identity %v vs refit %v (diff %.3g)",
+					trial, p, n, i, e.loo[i], want, d)
+			}
 		}
-		subcoef, err := mat.LeastSquares(sub, suby)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := subcoef[0] + subcoef[1]*a.At(i, 1)
-		if math.Abs(loo[i]-want) > 1e-8 {
-			t.Fatalf("LOO prediction %d: hat %v vs refit %v", i, loo[i], want)
+		if p == 1 {
+			// The closed form of the constant hypothesis agrees with the QR path.
+			qrLOO := append([]float64(nil), e.loo[:n]...)
+			e.scoreConstant(y)
+			for i := range qrLOO {
+				if math.Abs(qrLOO[i]-e.loo[i]) > 1e-12*maxY {
+					t.Fatalf("constant LOO %d: QR %v vs closed form %v", i, qrLOO[i], e.loo[i])
+				}
+			}
 		}
 	}
 }
@@ -361,5 +460,42 @@ func TestThreeParameterKripkeShape(t *testing.T) {
 	want := 8.51 + 0.11*math.Pow(32768, 1.0/3)*12*math.Pow(160, 0.8)
 	if math.Abs(pred-want)/want > 0.1 {
 		t.Fatalf("Kripke extrapolation %v, want %v (model %v)", pred, want, res.Model)
+	}
+}
+
+// TestModelConcurrentMatchesSerial: the daemon models many sets at once, and
+// the pooled engines must not leak state between concurrent calls — every
+// concurrent result equals the serial one bit for bit (run under -race by
+// scripts/check.sh).
+func TestModelConcurrentMatchesSerial(t *testing.T) {
+	sets := goldenSets()
+	if testing.Short() {
+		sets = sets[:len(sets)/4]
+	}
+	want := make([]Result, len(sets))
+	for i, gs := range sets {
+		want[i], _ = Model(gs.set, Options{})
+	}
+	const workers = 4
+	errs := make(chan string, len(sets))
+	done := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer func() { done <- struct{}{} }()
+			for i := w; i < len(sets); i += workers {
+				got, _ := Model(sets[i].set, Options{})
+				if got.Model.String() != want[i].Model.String() ||
+					math.Float64bits(got.SMAPE) != math.Float64bits(want[i].SMAPE) {
+					errs <- sets[i].name
+				}
+			}
+		}(w)
+	}
+	for w := 0; w < workers; w++ {
+		<-done
+	}
+	close(errs)
+	for name := range errs {
+		t.Errorf("%s: concurrent result differs from serial", name)
 	}
 }

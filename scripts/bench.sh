@@ -6,8 +6,9 @@
 #   ./scripts/bench.sh              # writes BENCH_YYYY-MM-DD.json
 #   BENCH_COUNT=3 ./scripts/bench.sh  # repeat each benchmark, keep every row
 #
-# Each entry records ns/op, bytes/op and allocs/op, so snapshots from two
-# commits diff cleanly. Numbers from this shared box carry ±10-30% noise:
+# Each entry records ns/op, bytes/op and allocs/op (plus ns/set where a
+# benchmark op models several sets), so snapshots from two commits diff
+# cleanly. Numbers from this shared box carry ±10-30% noise:
 # compare medians of BENCH_COUNT>=3 runs before claiming a regression.
 set -eu
 
@@ -20,7 +21,7 @@ TMP=$(mktemp)
 trap 'rm -f "$TMP"' EXIT
 
 # run <package-dir> <bench-regex> <benchtime>: appends tab-separated rows
-# "pkg name ns_per_op bytes_per_op allocs_per_op" to $TMP.
+# "pkg name ns_per_op bytes_per_op allocs_per_op ns_per_set" to $TMP.
 run() {
     pkg=$1
     pattern=$2
@@ -31,13 +32,14 @@ run() {
             /^Benchmark/ {
                 name = $1
                 sub(/-[0-9]+$/, "", name)
-                ns = bytes = allocs = "null"
+                ns = bytes = allocs = perset = "null"
                 for (i = 2; i <= NF; i++) {
                     if ($i == "ns/op")     ns = $(i - 1)
                     if ($i == "B/op")      bytes = $(i - 1)
                     if ($i == "allocs/op") allocs = $(i - 1)
+                    if ($i == "ns/set")    perset = $(i - 1)
                 }
-                print pkg "\t" name "\t" ns "\t" bytes "\t" allocs
+                print pkg "\t" name "\t" ns "\t" bytes "\t" allocs "\t" perset
             }'
 } >>"$TMP"
 
@@ -53,6 +55,11 @@ run internal/dnnmodel 'BenchmarkDomainAdapt$/paper' 1x
 run internal/nn 'BenchmarkTrainEpochs$|BenchmarkTrainEpochsF32$|BenchmarkForwardBatched$|BenchmarkForwardPerRow$|BenchmarkTopKPerRow$|BenchmarkTopKBatch$' 20x
 # Cross-set batched prediction vs the per-set modeling loop.
 run internal/dnnmodel 'BenchmarkModelPerSet$|BenchmarkPredictBatch$' 5x
+# The hypothesis-fit engine: the 43-class single-parameter search, the
+# combination search alone at m = 2 and m = 3, one m = 3 hypothesis on the
+# reusable QR, and the full 3-parameter regression modeler.
+run internal/regression 'BenchmarkFitLine$|BenchmarkCombine$' 1s
+run . 'BenchmarkLeastSquares$|BenchmarkRegressionModel3P$' 1s
 # Adaptation-cache lookup storm: single mutex vs sharded layout.
 run internal/adaptcache 'BenchmarkCacheContention$' 0.5s
 # Streaming campaign pipeline vs the slice path (incl. on-disk JSONL decode).
@@ -71,8 +78,8 @@ awk -v date="$DATE" -v goversion="$(go version)" -v count="$COUNT" '
     }
     {
         if (NR > 1) printf ",\n"
-        printf "    {\"package\": \"%s\", \"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}",
-            $1, $2, $3, $4, $5
+        printf "    {\"package\": \"%s\", \"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"ns_per_set\": %s}",
+            $1, $2, $3, $4, $5, $6
     }
     END {
         printf "\n  ]\n}\n"

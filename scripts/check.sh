@@ -34,8 +34,8 @@ echo "==> perfbench vet + build (its own module: a public API it uses must not b
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -race -short (root, mat, nn, parallel, dnnmodel, core, synth, adaptcache, measurement, obs)"
-go test -race -short . ./internal/mat/... ./internal/nn/... ./internal/parallel/... ./internal/dnnmodel/... ./internal/core/... ./internal/synth/... ./internal/adaptcache/... ./internal/measurement/... ./internal/obs/...
+echo "==> go test -race -short (root, mat, nn, parallel, dnnmodel, core, synth, adaptcache, measurement, obs, regression)"
+go test -race -short . ./internal/mat/... ./internal/nn/... ./internal/parallel/... ./internal/dnnmodel/... ./internal/core/... ./internal/synth/... ./internal/adaptcache/... ./internal/measurement/... ./internal/obs/... ./internal/regression/
 
 echo "==> go test -race -tags faultinject (injected divergence, DNN failure, kernel panic)"
 go test -race -tags faultinject . ./internal/nn/... ./internal/core/... ./internal/faultinject/...
@@ -63,10 +63,18 @@ for target in FuzzReadText FuzzReadJSON FuzzReadExtraP; do
 done
 go test -run '^$' -fuzz '^FuzzLoadNetwork$' -fuzztime 5s ./internal/nn/
 go test -run '^$' -fuzz '^FuzzScanProfile$' -fuzztime 5s ./internal/profile/
+go test -run '^$' -fuzz '^FuzzCombine$' -fuzztime 5s ./internal/regression/
 
 echo "==> float32 parity gate (SIMD GEMM split-determinism + paper-shape parity, AdaMax bit-identity, f32 training/inference vs float64, default-precision golden pin)"
 go test -count=1 -run 'TestSIMDKernelParity|TestSIMDKernelParityPaperShapes|TestSIMDKernelDeterminism|TestAdaMaxStep32MatchesScalar|TestTanh32sMatchesScalar' ./internal/mat/
 go test -count=1 -run 'TestTrainFloat32ParityWithFloat64|TestInferSessionFloat32Parity|TestTopKBatchMatchesTopK|TestDefaultPrecisionGoldenWeights' ./internal/nn/
+
+echo "==> hypothesis-fit engine gate (golden model-selection corpus, differential test vs the retained reference fitter, LOO vs explicit refits)"
+go test -count=1 -run 'TestGoldenModelSelection|TestFitLineMatchesReference|TestLooPredictionsMatchExplicitRefit' ./internal/regression/
+go test -count=1 -run 'TestQRLeveragesMatchHatMatrix|TestQRFittedAndLinearInRHS' ./internal/mat/
+
+echo "==> hypothesis-fit allocation gate (FitLine and Combine allocations flat in the number of hypotheses)"
+go test -count=1 -run 'TestFitLineAllocations|TestCombineAllocations' ./internal/regression/
 
 echo "==> batched-inference allocation gate (InferSession steady state => zero allocations)"
 go test -count=1 -run 'TestInferSessionZeroAlloc|TestTopKBatchZeroAlloc' ./internal/nn/
@@ -75,8 +83,9 @@ echo "==> adaptation-cache allocation gate (steady-state hit path allocates O(re
 go test -run 'TestAdaptCacheHitAllocations' -count=1 .
 go test -bench 'BenchmarkModelProfileCached/hit' -benchtime 2x -benchmem -run '^$' .
 
-echo "==> observability disabled-path allocation gate (metrics/spans off => zero allocations)"
+echo "==> observability disabled-path allocation gate (metrics/spans off => zero allocations, fit_single/fit_combine spans included)"
 go test -run 'TestObsDisabledAllocations|TestObsEnabledMetricsAllocationFree|TestTracePropagationDisabledZeroAlloc' -count=1 ./internal/obs/
+go test -run 'TestFitSpansDisabledAllocations' -count=1 ./internal/regression/
 
 echo "==> trace propagation gate (client traceparent joins server spans; chaos-faulted campaign = one trace across both files)"
 go test -race -count=1 -run 'TestTracePropagation|TestChaosResetResumeSingleTrace|TestTraceDisabledNoHeader' ./internal/client/
