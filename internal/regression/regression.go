@@ -136,8 +136,7 @@ func fitLine(xs, vs []float64, classes []pmnf.Exponents, topK int) ([]Candidate,
 	}
 	// Rank by cross-validated SMAPE; on (near-)ties prefer the simpler
 	// hypothesis — the same bias toward the simplest explanation that the
-	// PMNF itself encodes. The comparator answers only "less", like the
-	// sort.SliceStable call it replaces, so the order is the same.
+	// PMNF itself encodes.
 	less := func(a, b Candidate) bool {
 		if diff := a.SMAPE - b.SMAPE; diff < -1e-9 || diff > 1e-9 {
 			return a.SMAPE < b.SMAPE
