@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -157,4 +158,57 @@ func BenchmarkGEMMPaper(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkMulToSmallRows runs the float64 forward chain of the default
+// topology (11-256-256-128-64-64-43, dnnmodel.DefaultTopology) at the few
+// rows a warm-path classification feeds it: the shapes where a SIMD kernel
+// has the least work to amortize its setup over.
+func BenchmarkMulToSmallRows(b *testing.B) {
+	widths := []int{11, 256, 256, 128, 64, 64, 43}
+	for _, rows := range []int{1, 3, 8} {
+		rng := rand.New(rand.NewSource(5))
+		acts := []*Matrix{benchMat(rng, rows, widths[0])}
+		var ws []*Matrix
+		for i := 1; i < len(widths); i++ {
+			ws = append(ws, benchMat(rng, widths[i-1], widths[i]))
+			acts = append(acts, New(rows, widths[i]))
+		}
+		b.Run(fmt.Sprintf("rows=%d/float64", rows), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for l, w := range ws {
+					MulTo(acts[l+1], acts[l], w)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAdaMaxStep runs one AdaMax step over the weights of a 1500×1500
+// paper-topology layer in each precision: seven streams of 2.25M elements,
+// split across cores.
+func BenchmarkAdaMaxStep(b *testing.B) {
+	const n = 1500 * 1500
+	rng := rand.New(rand.NewSource(6))
+	w, m, u, g := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range w {
+		w[i], g[i] = rng.NormFloat64(), rng.NormFloat64()
+	}
+	w32, m32, u32, g32 := make([]float32, n), make([]float32, n), make([]float32, n), make([]float32, n)
+	for i := range w {
+		w32[i], g32[i] = float32(w[i]), float32(g[i])
+	}
+	b.Run("float32", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			AdaMaxStep32(w32, m32, u32, g32, 0.9, 0.999, 0.002)
+		}
+	})
+	b.Run("float64", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			AdaMaxStep(w, m, u, g, 0.9, 0.999, 0.002)
+		}
+	})
 }

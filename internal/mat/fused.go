@@ -44,11 +44,16 @@ func MulATTo(out, a, b *Matrix) {
 // (rows of a and b) is unrolled four-wide with the same accumulation order as
 // mulRange, so MulATTo(out, a, b) is bit-identical to MulTo(out, a.T(), b).
 // Output rows are processed in fusedBlock tiles so the accumulating tile
-// stays cached across the full sweep of the shared dimension.
+// stays cached across the full sweep of the shared dimension. The SIMD path
+// runs gemm64 with aᵀ read through a's strides, in the same order.
 func mulATRange(out, a, b *Matrix, lo, hi int) {
 	n := b.cols
 	ka := a.cols
 	rows := a.rows
+	if simdCols[float64](n) && rows > 0 {
+		gemmRows(out.data[lo*n:], n, a.data[lo:], 1, ka, b.data, n, hi-lo, n, rows)
+		return
+	}
 	for k := lo; k < hi; k++ {
 		ok := out.data[k*n : k*n+n]
 		for j := range ok {
@@ -107,14 +112,19 @@ func MulBT(a, b *Matrix) *Matrix {
 // a row of b, both contiguous in row-major storage. It is the
 // backpropagation delta kernel (prevDelta = delta·Wᵀ). out must be
 // a.rows×b.rows and must not alias a or b. Large products are split across
-// GOMAXPROCS goroutines by output row, following the same parallelThreshold
-// policy as MulTo.
+// GOMAXPROCS goroutines, following the same parallelThreshold policy as
+// MulTo: by output row on the scalar path, by column panels of out on the
+// SIMD path (see mulPanels).
 func MulBTTo(out, a, b *Matrix) {
 	if a.cols != b.cols {
 		panic(fmt.Sprintf("mat: MulBTTo dimension mismatch %dx%d by %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	if out.rows != a.rows || out.cols != b.rows {
 		panic(fmt.Sprintf("mat: MulBTTo output %dx%d, want %dx%d", out.rows, out.cols, a.rows, b.rows))
+	}
+	if simdCols[float64](b.rows) {
+		mulPanels(out.data, a.data, b.data, a.rows, a.cols, b.rows, true)
+		return
 	}
 	if serialMul(a.rows, a.rows*a.cols*b.rows) {
 		mulBTRange(out, a, b, 0, a.rows)
@@ -129,7 +139,9 @@ func MulBTTo(out, a, b *Matrix) {
 // products, tiling the rows of b in fusedBlock chunks so each chunk is reused
 // across every output row before eviction. The dot products accumulate in
 // chunks of four with single-element leftovers — the same order as mulRange —
-// so MulBTTo(out, a, b) is bit-identical to MulTo(out, a, b.T()).
+// so MulBTTo(out, a, b) is bit-identical to MulTo(out, a, b.T()). It is the
+// fallback and test oracle of the SIMD path, which packs b into panels for
+// gemm64.
 func mulBTRange(out, a, b *Matrix, lo, hi int) {
 	p := b.rows
 	kk := a.cols

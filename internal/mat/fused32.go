@@ -1,77 +1,15 @@
 package mat
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
-// Float32 twins of the matmul family. They share the shape contracts and the
-// serialMul/parallelRows parallelism policy with the float64 kernels, but not
-// the accumulation order: the float64 kernels are pinned bit-identical, while
-// the float32 twins only promise tolerance parity, which frees them to
-// reassociate. On amd64 hosts with AVX2+FMA all three products run on the
-// one gemm32 assembly micro-kernel (4×16 register tiles, one FMA chain per
-// output element, so results do not depend on how rows or columns are split
-// between goroutines); elsewhere they fall back to the unrolled scalar forms
-// below, tuned per kernel for what gc's register allocator will actually
-// keep in registers.
-
-// stripe32 is the column width of one gemm32 stripe: two eight-lane ymm
-// accumulators per output row.
-const stripe32 = 16
-
-// narrowRows is how many rows gemmRows32 runs per call when it has to route
-// a block narrower than one stripe through a 16-wide scratch tile.
-const narrowRows = 16
-
-// scratch32 recycles the packing panels and scratch tiles of the SIMD path,
-// so steady-state training and inference stay allocation-free.
-var scratch32 = sync.Pool{New: func() any { return new([]float32) }}
-
-func getScratch32(n int) *[]float32 {
-	p := scratch32.Get().(*[]float32)
-	if cap(*p) < n {
-		*p = make([]float32, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-// gemmRows32 computes the m×n block c = A·B on the gemm32 micro-kernel, with
-// A[i][k] = a[i*ars+k*aks], B[k][j] = b[k*ldb+j] and c's row stride ldc; the
-// slices start at element (0,0) of their block. A block narrower than one
-// stripe is multiplied against a zero-padded copy of B into a 16-wide scratch
-// tile, so it too is one FMA chain per element.
-func gemmRows32(c []float32, ldc int, a []float32, ars, aks int, b []float32, ldb, m, n, kk int) {
-	if m == 0 || n == 0 {
-		return
-	}
-	if kk == 0 {
-		for i := 0; i < m; i++ {
-			clear(c[i*ldc : i*ldc+n])
-		}
-		return
-	}
-	if n >= stripe32 {
-		gemm32(&c[0], ldc, &a[0], ars, aks, &b[0], ldb, m, n, kk)
-		return
-	}
-	s := getScratch32((kk + narrowRows) * stripe32)
-	defer scratch32.Put(s)
-	panel, tile := (*s)[:kk*stripe32], (*s)[kk*stripe32:]
-	for k := 0; k < kk; k++ {
-		row := panel[k*stripe32 : (k+1)*stripe32]
-		copy(row, b[k*ldb:k*ldb+n])
-		clear(row[n:])
-	}
-	for i0 := 0; i0 < m; i0 += narrowRows {
-		rows := min(narrowRows, m-i0)
-		gemm32(&tile[0], stripe32, &a[i0*ars], ars, aks, &panel[0], stripe32, rows, stripe32, kk)
-		for i := 0; i < rows; i++ {
-			copy(c[(i0+i)*ldc:(i0+i)*ldc+n], tile[i*stripe32:])
-		}
-	}
-}
+// Float32 twins of the matmul family. They share the shape contracts, the
+// serialMul/parallelRows parallelism policy and, on amd64 hosts with AVX2,
+// the SIMD driver of gemm.go with the float64 kernels, but not the
+// accumulation order: the float64 kernels are pinned bit-identical to their
+// scalar loops, while the float32 twins only promise tolerance parity, which
+// frees them to reassociate — gemm32 runs one FMA chain per output element.
+// Without SIMD they fall back to the unrolled scalar forms below, tuned per
+// kernel for what gc's register allocator will actually keep in registers.
 
 // Mul32 returns a*b. It panics if the inner dimensions disagree.
 func Mul32(a, b *Matrix32) *Matrix32 {
@@ -114,8 +52,8 @@ func MulTo32(out, a, b *Matrix32) {
 func mulRange32(out, a, b *Matrix32, lo, hi int) {
 	n := b.cols
 	kk := a.cols
-	if useFMA {
-		gemmRows32(out.data[lo*n:], n, a.data[lo*kk:], kk, 1, b.data, n, hi-lo, n, kk)
+	if simdCols[float32](n) {
+		gemmRows(out.data[lo*n:], n, a.data[lo*kk:], kk, 1, b.data, n, hi-lo, n, kk)
 		return
 	}
 	for i := lo; i < hi; i++ {
@@ -180,8 +118,8 @@ func mulATRange32(out, a, b *Matrix32, lo, hi int) {
 	n := b.cols
 	ka := a.cols
 	rows := a.rows
-	if useFMA {
-		gemmRows32(out.data[lo*n:], n, a.data[lo:], 1, ka, b.data, n, hi-lo, n, rows)
+	if simdCols[float32](n) {
+		gemmRows(out.data[lo*n:], n, a.data[lo:], 1, ka, b.data, n, hi-lo, n, rows)
 		return
 	}
 	for k := lo; k < hi; k++ {
@@ -230,8 +168,7 @@ func mulATRange32(out, a, b *Matrix32, lo, hi int) {
 // MulBTTo32 computes out = a·bᵀ without materializing the transpose — the
 // float32 backpropagation delta kernel. out must be a.rows×b.rows and must
 // not alias a or b. On the SIMD path large products are split across
-// GOMAXPROCS goroutines by 16-column panels of out, so each worker packs
-// only its own rows of b.
+// GOMAXPROCS goroutines by column panels of out (see mulPanels).
 func MulBTTo32(out, a, b *Matrix32) {
 	if a.cols != b.cols {
 		panic(fmt.Sprintf("mat: MulBTTo32 dimension mismatch %dx%d by %dx%d", a.rows, a.cols, b.rows, b.cols))
@@ -239,23 +176,8 @@ func MulBTTo32(out, a, b *Matrix32) {
 	if out.rows != a.rows || out.cols != b.rows {
 		panic(fmt.Sprintf("mat: MulBTTo32 output %dx%d, want %dx%d", out.rows, out.cols, a.rows, b.rows))
 	}
-	if useFMA {
-		p := b.rows
-		panels := p / stripe32
-		if serialMul(panels, a.rows*a.cols*p) {
-			mulBTPanels32(out, a, b, 0, a.rows, 0, p)
-			return
-		}
-		// Chunks are whole panels; the last one also takes the p%16 tail, so
-		// its overlapping final stripe never reaches into another worker's
-		// columns.
-		parallelRows(panels, func(lo, hi int) {
-			c1 := hi * stripe32
-			if hi == panels {
-				c1 = p
-			}
-			mulBTPanels32(out, a, b, 0, a.rows, lo*stripe32, c1)
-		})
+	if simdCols[float32](b.rows) {
+		mulPanels(out.data, a.data, b.data, a.rows, a.cols, b.rows, true)
 		return
 	}
 	if serialMul(a.rows, a.rows*a.cols*b.rows) {
@@ -265,37 +187,6 @@ func MulBTTo32(out, a, b *Matrix32) {
 	parallelRows(a.rows, func(lo, hi int) {
 		mulBTRange32(out, a, b, lo, hi)
 	})
-}
-
-// mulBTPanels32 computes the block rows [lo,hi) × columns [c0,c1) of
-// out = a·bᵀ on the SIMD path: it packs 16 rows of b at a time into a k-major
-// 16-wide panel (that panel is the B operand of gemm32) and multiplies the
-// rows of a against it. c1-c0 must be at least 16 unless it is the whole of
-// out's width; the last panel is shifted left to end at c1, overlapping its
-// neighbour with bit-identical values.
-func mulBTPanels32(out, a, b *Matrix32, lo, hi, c0, c1 int) {
-	p, kk := b.rows, a.cols
-	if lo == hi {
-		return
-	}
-	s := getScratch32(kk * stripe32)
-	defer scratch32.Put(s)
-	panel := *s
-	for j := c0; j < c1; j += stripe32 {
-		j0 := max(c0, min(j, c1-stripe32))
-		w := min(stripe32, c1-j0)
-		var rows [stripe32][]float32
-		for jj := 0; jj < w; jj++ {
-			rows[jj] = b.data[(j0+jj)*kk : (j0+jj+1)*kk]
-		}
-		for k := 0; k < kk; k++ {
-			dst := panel[k*stripe32 : k*stripe32+w]
-			for jj := range dst {
-				dst[jj] = rows[jj][k]
-			}
-		}
-		gemmRows32(out.data[lo*p+j0:], p, a.data[lo*kk:], kk, 1, panel, stripe32, hi-lo, w, kk)
-	}
 }
 
 // mulBTRange32 is the scalar fallback of MulBTTo32. It keeps mulBTRange's

@@ -2,8 +2,9 @@
 
 package mat
 
-// The float32 kernels dispatch to AVX2+FMA assembly when the CPU has it.
-// Detection follows the standard Intel sequence: the instruction sets must be
+// The matmul, tanh and AdaMax kernels dispatch to AVX2 assembly when the CPU
+// has AVX2 and FMA (the float32 kernels use FMA; the bit-pinned float64 ones
+// do not, but share the one check). Detection follows the standard Intel sequence: the instruction sets must be
 // present (CPUID leaf 1 ECX for FMA/AVX/OSXSAVE, leaf 7 EBX for AVX2) and
 // the OS must have enabled XMM+YMM state saving (XGETBV XCR0 bits 1 and 2),
 // otherwise the ymm registers trap. useFMA is a var, not a const, so tests
@@ -11,6 +12,12 @@ package mat
 
 //go:noescape
 func gemm32(c *float32, ldc int, a *float32, ars int, aks int, b *float32, ldb int, m int, n int, kk int)
+
+//go:noescape
+func gemm64(c *float64, ldc int, a *float64, ars int, aks int, b *float64, ldb int, m int, n int, kk int)
+
+//go:noescape
+func adaMaxBlocks64(w *float64, m *float64, u *float64, grad *float64, n int, beta1 float64, c1 float64, beta2 float64, step float64)
 
 //go:noescape
 func adaMaxBlocks(w *float32, m *float32, u *float32, grad *float32, n int, beta1 float32, c1 float32, beta2 float32, step float32)

@@ -2,7 +2,7 @@
 
 package mat
 
-// Non-amd64 builds always take the scalar float32 kernels. The stubs exist
+// Non-amd64 builds always take the scalar kernels. The stubs exist
 // so the dispatch sites compile; useFMA being false keeps them unreachable.
 
 var useFMA = false
@@ -17,4 +17,12 @@ func adaMaxBlocks(w *float32, m *float32, u *float32, grad *float32, n int, beta
 
 func tanhBlocks(v *float32, n int, c *float32) {
 	panic("mat: tanhBlocks called without SIMD support")
+}
+
+func gemm64(c *float64, ldc int, a *float64, ars int, aks int, b *float64, ldb int, m int, n int, kk int) {
+	panic("mat: gemm64 called without SIMD support")
+}
+
+func adaMaxBlocks64(w *float64, m *float64, u *float64, grad *float64, n int, beta1 float64, c1 float64, beta2 float64, step float64) {
+	panic("mat: adaMaxBlocks64 called without SIMD support")
 }

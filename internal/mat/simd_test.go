@@ -134,13 +134,13 @@ func TestSIMDKernelDeterminism(t *testing.T) {
 		// MulBTTo32: out (m×n) = a·zᵀ with z n×k.
 		_, z := randPair(rng, n, k)
 		serial, cut, pub = New32(m, n), New32(m, n), New32(m, n)
-		mulBTPanels32(serial, a, z, 0, m, 0, n)
-		split(cut, func(o *Matrix32, lo, hi int) { mulBTPanels32(o, a, z, lo, hi, 0, n) })
+		mulPanelRange(serial.data, a.data, z.data, k, n, true, 0, m, 0, n)
+		split(cut, func(o *Matrix32, lo, hi int) { mulPanelRange(o.data, a.data, z.data, k, n, true, lo, hi, 0, n) })
 		sameBits32(t, name("MulBTTo32 row split"), cut, serial)
-		if n >= 2*stripe32 {
+		if n >= 2*btPanel {
 			cols := New32(m, n)
-			mulBTPanels32(cols, a, z, 0, m, 0, stripe32)
-			mulBTPanels32(cols, a, z, 0, m, stripe32, n)
+			mulPanelRange(cols.data, a.data, z.data, k, n, true, 0, m, 0, btPanel)
+			mulPanelRange(cols.data, a.data, z.data, k, n, true, 0, m, btPanel, n)
 			sameBits32(t, name("MulBTTo32 panel split"), cols, serial)
 		}
 		MulBTTo32(pub, a, z)
@@ -212,16 +212,22 @@ func TestSIMDKernelParityPaperShapes(t *testing.T) {
 // lanes holding zero and negative-zero gradients, u = 0, and NaN/Inf in
 // every operand.
 func TestAdaMaxStep32MatchesScalar(t *testing.T) {
+	testAdaMaxMatchesScalar(t, AdaMaxStep32, func(x float32) uint64 { return uint64(math.Float32bits(x)) })
+}
+
+// testAdaMaxMatchesScalar runs the AdaMax pin for one element type: step is
+// the public entry point, bits the raw encoding compared.
+func testAdaMaxMatchesScalar[T float](t *testing.T, adaMax func(w, m, u, g []T, beta1, beta2, step T), bits func(T) uint64) {
 	rng := rand.New(rand.NewSource(13))
-	nan := float32(math.NaN())
-	inf := float32(math.Inf(1))
-	negZero := math.Float32frombits(1 << 31)
-	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 100, adaMaxParallel + 13} {
-		w, m, u := make([]float32, n), make([]float32, n), make([]float32, n)
+	nan := T(math.NaN())
+	inf := T(math.Inf(1))
+	negZero := T(math.Copysign(0, -1))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 100, adaMaxParallel + 13} {
+		w, m, u := make([]T, n), make([]T, n), make([]T, n)
 		for i := range w {
-			w[i] = float32(rng.NormFloat64())
-			m[i] = float32(rng.NormFloat64()) * 0.1
-			u[i] = float32(rng.Float64())
+			w[i] = T(rng.NormFloat64())
+			m[i] = T(rng.NormFloat64()) * 0.1
+			u[i] = T(rng.Float64())
 			switch i % 11 {
 			case 3:
 				u[i] = 0
@@ -233,11 +239,11 @@ func TestAdaMaxStep32MatchesScalar(t *testing.T) {
 				w[i] = nan
 			}
 		}
-		w2, m2, u2 := append([]float32(nil), w...), append([]float32(nil), m...), append([]float32(nil), u...)
-		g := make([]float32, n)
+		w2, m2, u2 := append([]T(nil), w...), append([]T(nil), m...), append([]T(nil), u...)
+		g := make([]T, n)
 		for step := 0; step < 3; step++ {
 			for i := range g {
-				g[i] = float32(rng.NormFloat64())
+				g[i] = T(rng.NormFloat64())
 				switch (i + step) % 13 {
 				case 1:
 					g[i] = 0
@@ -251,12 +257,12 @@ func TestAdaMaxStep32MatchesScalar(t *testing.T) {
 					g[i] = 1e-30 // |g| below beta2·u: u decays
 				}
 			}
-			lr := float32(0.002) / float32(1-math.Pow(0.9, float64(step+1)))
-			AdaMaxStep32(w, m, u, g, 0.9, 0.999, lr)
-			adaMaxScalar32(w2, m2, u2, g, 0.9, 0.999, lr)
+			lr := T(0.002) / T(1-math.Pow(0.9, float64(step+1)))
+			adaMax(w, m, u, g, 0.9, 0.999, lr)
+			adaMaxScalar(w2, m2, u2, g, 0.9, 0.999, lr)
 			for i := range w {
-				for _, p := range [][2]float32{{w[i], w2[i]}, {m[i], m2[i]}, {u[i], u2[i]}} {
-					if math.Float32bits(p[0]) != math.Float32bits(p[1]) {
+				for _, p := range [][2]T{{w[i], w2[i]}, {m[i], m2[i]}, {u[i], u2[i]}} {
+					if bits(p[0]) != bits(p[1]) {
 						t.Fatalf("n=%d step %d element %d: w/m/u = %v/%v/%v, scalar %v/%v/%v",
 							n, step, i, w[i], m[i], u[i], w2[i], m2[i], u2[i])
 					}

@@ -489,7 +489,9 @@ func applyActivationGrad(delta, a *mat.Matrix, act Activation) {
 	}
 }
 
-// applyUpdate performs one optimizer step on a layer.
+// applyUpdate performs one optimizer step on a layer. AdaMax, the default,
+// runs on mat.AdaMaxStep (vectorized, split across cores for large layers,
+// bit-identical to its scalar loop).
 func applyUpdate(l *Layer, st *optState, dW *mat.Matrix, dB []float64, opts TrainOptions) {
 	st.step++
 	t := float64(st.step)
@@ -520,29 +522,8 @@ func applyUpdate(l *Layer, st *optState, dW *mat.Matrix, dB []float64, opts Trai
 			l.B[i] -= lr * (st.mB[i] / corr1) / (math.Sqrt(st.vB[i]/corr2) + 1e-8)
 		}
 	default: // AdaMax
-		corr1 := 1 - math.Pow(opts.Beta1, t)
-		w, m, u, g := l.W.Data(), st.mW.Data(), st.vW.Data(), dW.Data()
-		for i := range w {
-			m[i] = opts.Beta1*m[i] + (1-opts.Beta1)*g[i]
-			au := opts.Beta2 * u[i]
-			if ag := math.Abs(g[i]); ag > au {
-				au = ag
-			}
-			u[i] = au
-			if u[i] > 0 {
-				w[i] -= (lr / corr1) * m[i] / u[i]
-			}
-		}
-		for i := range l.B {
-			st.mB[i] = opts.Beta1*st.mB[i] + (1-opts.Beta1)*dB[i]
-			au := opts.Beta2 * st.vB[i]
-			if ag := math.Abs(dB[i]); ag > au {
-				au = ag
-			}
-			st.vB[i] = au
-			if st.vB[i] > 0 {
-				l.B[i] -= (lr / corr1) * st.mB[i] / st.vB[i]
-			}
-		}
+		step := lr / (1 - math.Pow(opts.Beta1, t))
+		mat.AdaMaxStep(l.W.Data(), st.mW.Data(), st.vW.Data(), dW.Data(), opts.Beta1, opts.Beta2, step)
+		mat.AdaMaxStep(l.B, st.mB, st.vB, dB, opts.Beta1, opts.Beta2, step)
 	}
 }

@@ -65,9 +65,14 @@ go test -run '^$' -fuzz '^FuzzLoadNetwork$' -fuzztime 5s ./internal/nn/
 go test -run '^$' -fuzz '^FuzzScanProfile$' -fuzztime 5s ./internal/profile/
 go test -run '^$' -fuzz '^FuzzCombine$' -fuzztime 5s ./internal/regression/
 
-echo "==> float32 parity gate (SIMD GEMM split-determinism + paper-shape parity, AdaMax bit-identity, f32 training/inference vs float64, default-precision golden pin)"
-go test -count=1 -run 'TestSIMDKernelParity|TestSIMDKernelParityPaperShapes|TestSIMDKernelDeterminism|TestAdaMaxStep32MatchesScalar|TestTanh32sMatchesScalar' ./internal/mat/
-go test -count=1 -run 'TestTrainFloat32ParityWithFloat64|TestInferSessionFloat32Parity|TestTopKBatchMatchesTopK|TestDefaultPrecisionGoldenWeights' ./internal/nn/
+echo "==> SIMD kernel gate (float64 GEMM and AdaMax bit-identical to the scalar loops, float32 split-determinism + paper-shape parity, f32 training/inference vs float64, golden training pins, 5s gemm64 fuzz)"
+go test -count=1 -run 'TestSIMDFloat64MatchesScalarBits|TestAdaMaxStep64MatchesScalar|TestSIMDKernelParity|TestSIMDKernelParityPaperShapes|TestSIMDKernelDeterminism|TestAdaMaxStep32MatchesScalar|TestTanh32sMatchesScalar' ./internal/mat/
+go test -count=1 -run 'TestTrainFloat32ParityWithFloat64|TestInferSessionFloat32Parity|TestTopKBatchMatchesTopK|TestDefaultPrecisionGoldenWeights|TestEdgeWidthGoldenWeights' ./internal/nn/
+go test -run '^$' -fuzz '^FuzzGEMM64$' -fuzztime 5s ./internal/mat/
+
+echo "==> scalar fallback builds (arm64: the simd_other.go stubs and the pure-Go kernels)"
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/mat/ ./internal/nn/
 
 echo "==> hypothesis-fit engine gate (golden model-selection corpus, differential test vs the retained reference fitter, LOO vs explicit refits)"
 go test -count=1 -run 'TestGoldenModelSelection|TestFitLineMatchesReference|TestLooPredictionsMatchExplicitRefit' ./internal/regression/
