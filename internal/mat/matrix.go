@@ -8,12 +8,18 @@
 // explicit Clone), rather than a general numerical toolkit.
 //
 // The matmul family — MulTo and the fused transpose-free kernels MulATTo
-// (aᵀ·b) and MulBTTo (a·bᵀ) — shares one accumulation order (chunks of four,
-// then single leftovers) so the fused kernels are bit-identical to MulTo on
-// an explicitly transposed operand, and one parallelism policy: products
-// above parallelThreshold multiply-adds split their output rows across
-// GOMAXPROCS goroutines (disjoint writes, no locks), smaller ones run
-// serially without allocating. See DESIGN.md §6 and docs/PERFORMANCE.md.
+// (aᵀ·b) and MulBTTo (a·bᵀ) — shares one accumulation order (each element
+// starts from +0, adds the sums of chunks of four products, then the single
+// leftovers) so the fused kernels are bit-identical to MulTo on an
+// explicitly transposed operand, and one parallelism policy: products above
+// parallelThreshold multiply-adds split their output rows or column panels
+// across GOMAXPROCS goroutines (disjoint writes, no locks), smaller ones run
+// serially without allocating. The order is a per-element contract, not a
+// loop: on amd64 hosts with AVX2 the products run on the gemm64 assembly
+// micro-kernel, whose lanes repeat it with separate multiplies and adds, so
+// the SIMD path and the scalar Go loops give the same bits. The float32
+// twins (Matrix32) share the SIMD driver but only promise tolerance parity.
+// See DESIGN.md §6 and §11 and docs/PERFORMANCE.md.
 package mat
 
 import (
