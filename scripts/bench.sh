@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Benchmark snapshot: runs the hot-path benchmarks behind docs/PERFORMANCE.md
-# (float32 kernel twins, batched inference, end-to-end training and cross-set
-# prediction) and writes one machine-readable JSON file per day:
+# (matmul kernels and the AdaMax step in both precisions, batched inference,
+# end-to-end training and cross-set prediction) and writes one machine-readable JSON file per day:
 #
 #   ./scripts/bench.sh              # writes BENCH_YYYY-MM-DD.json
 #   BENCH_COUNT=3 ./scripts/bench.sh  # repeat each benchmark, keep every row
@@ -48,6 +48,10 @@ run internal/mat 'BenchmarkMulTo$|BenchmarkMulATTo$|BenchmarkMulBTTo$' 100x
 # All three products at the paper topology's training shapes (GFLOP/s is in
 # the go test output; ns/op is recorded here).
 run internal/mat 'BenchmarkGEMMPaper$' 10x
+# The float64 forward chain at the few rows of a warm-path classification
+# (default topology), and one AdaMax step over a 1500×1500 layer per
+# precision.
+run internal/mat 'BenchmarkMulToSmallRows$|BenchmarkAdaMaxStep$' 100x
 # One paper-topology domain adaptation per op, float64 vs float32 (9 samples
 # per class, 1 epoch: the benchmark's cold campaign settings).
 run internal/dnnmodel 'BenchmarkDomainAdapt$/paper' 1x
